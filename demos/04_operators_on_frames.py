@@ -51,7 +51,7 @@ print("\ncompressed Parseval bounds:", bounds.as_tuple())
 
 # equivalence: an invertible map of a frame is equivalent to it...
 W = random_invertible(3, rng)
-moved = Frame([W @ v for v in big], dim=3)
+moved = Frame.from_synthesis(W @ big.synthesis)  # the family {W u_i}
 verdict = are_equivalent(big, moved)
 print("\nrandom frame vs its invertible image:", verdict.relation,
       " residual:", verdict.residual)

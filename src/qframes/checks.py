@@ -591,7 +591,7 @@ def _equivalence(rng, sizes) -> float:
     for n, m in sizes:
         F = random_frame(n, m, rng)
         L = random_invertible(n, rng)
-        G = Frame([L @ v for v in F], dim=n)
+        G = Frame.from_synthesis(L @ F.synthesis)
         verdict = are_equivalent(F, G)
         if verdict.relation != "equivalent" or verdict.intertwiner is None:
             return 1.0
@@ -609,7 +609,7 @@ def _equivalence(rng, sizes) -> float:
         # collapsing one direction produces one-sided, and only one-sided
         if n >= 2:
             P = random_rank_deficient(n, n, n - 1, rng)
-            H = Frame([P @ v for v in F], dim=n)
+            H = Frame.from_synthesis(P @ F.synthesis)
             down = are_equivalent(F, H)
             # one-sided verdicts still carry the forward intertwiner plus the
             # kernel vector breaking the backward inclusion

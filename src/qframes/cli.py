@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .checks import DEFAULT_SIZES, run_checks
 from .frames import Frame
 from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
-from .qlinalg import QMatrix, QVector
+from .qlinalg import QMatrix, QVector, operator_norm, pinv
 from .sampling import random_frame
 
 
@@ -28,11 +29,15 @@ from .sampling import random_frame
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, got "
+                         f"{type(data).__name__}")
+    return data
 
 
 def load_frame(path: str) -> Frame:
@@ -53,6 +58,7 @@ def load_operator(path: str) -> QMatrix:
     if arr.shape != (rows, cols, 4):
         raise ValueError(f"{path}: entries have shape {arr.shape}, expected "
                          f"({rows}, {cols}, 4)")
+    _require_finite(arr, path)
     return QMatrix(arr)
 
 
@@ -64,7 +70,17 @@ def load_vector(path: str) -> QVector:
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
         raise ValueError(f"{path}: entries have shape {arr.shape}, expected "
                          f"(n, 4) with n >= 1")
+    _require_finite(arr, path)
     return QVector(arr)
+
+
+def _require_finite(arr: np.ndarray, path: str) -> None:
+    """Reject NaN and infinite components, naming the first entry holding one."""
+    bad = np.argwhere(~np.isfinite(arr).all(axis=-1))
+    if len(bad):
+        where = ", ".join(str(k) for k in bad[0])
+        raise ValueError(f"{path}: entry ({where}) has a non-finite component: "
+                         f"{arr[tuple(bad[0])].tolist()}")
 
 
 def _dumps(data) -> str:
@@ -76,14 +92,19 @@ def _write(path: str, data) -> None:
         fh.write(_dumps(data))
 
 
-def vector_dict(v: QVector) -> dict:
-    return {"entries": v.tolist()}
-
-
 # ---------------------------------------------------------------------------
 # reporting helpers
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: list[str], **artifact) -> None:
+    """Print the report; a produced object, passed as key=object, goes to
+    --out when given and otherwise inline in the payload under key."""
+    for key, obj in artifact.items():
+        if args.out:
+            _write(args.out, obj)
+            payload["written"] = args.out
+            lines.append(f"written: {args.out}")
+        else:
+            payload[key] = obj
     if args.json:
         sys.stdout.write(_dumps(payload))
     else:
@@ -99,19 +120,6 @@ def _bounds_lines(report: dict) -> list[str]:
     for key, value in report["residuals"].items():
         lines.append(f"residual {key}: {value:.3e}")
     return lines
-
-
-def _frame_payload(frame: Frame) -> dict:
-    return frame.to_dict()
-
-
-def _artifact(args, frame_or_vector_dict: dict, payload: dict, key: str) -> None:
-    """Route the produced object: to --out if given, else inline in the payload."""
-    if args.out:
-        _write(args.out, frame_or_vector_dict)
-        payload["written"] = args.out
-    else:
-        payload[key] = frame_or_vector_dict
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +155,7 @@ def cmd_gen(args) -> int:
                      "kind": args.kind, **report.to_dict()}
     lines = [f"generated {args.kind} frame: dim={frame.dim} count={frame.count}"]
     lines += _bounds_lines(report.to_dict())
-    _artifact(args, frame.to_dict(), payload, "frame")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, frame=frame.to_dict())
     return 0
 
 
@@ -161,14 +166,11 @@ def cmd_info(args) -> int:
     lines = [f"frame: dim={frame.dim} count={frame.count}"]
     lines += _bounds_lines(report)
     if frame.is_frame:
-        from .qlinalg import herm_eig, operator_norm, pinv
-
         bounds = frame.optimal_bounds()
         T = frame.synthesis
-        s_inv = herm_eig(frame.frame_operator).apply(lambda lam: 1.0 / lam)
         lower = {
             "spectral": bounds.lower,
-            "inverse-operator-norm": 1.0 / operator_norm(s_inv),
+            "inverse-operator-norm": 1.0 / operator_norm(frame._inverse_operator),
             "synthesis-pseudoinverse": 1.0 / operator_norm(pinv(T)) ** 2,
         }
         upper = {
@@ -215,10 +217,7 @@ def cmd_dual(args) -> int:
         f"residual bound-reciprocity: {reciprocity:.3e}",
         f"residual dual-round-trip: {round_trip:.3e}",
     ]
-    _artifact(args, dual.to_dict(), payload, "frame")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, frame=dual.to_dict())
     return 0
 
 
@@ -231,10 +230,7 @@ def cmd_parseval(args) -> int:
                      "residuals": {"parseval": drift}}
     lines = [f"parseval normalization: dim={tight.dim} count={tight.count}",
              f"residual parseval: {drift:.3e}"]
-    _artifact(args, tight.to_dict(), payload, "frame")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, frame=tight.to_dict())
     return 0
 
 
@@ -250,10 +246,7 @@ def cmd_coeffs(args) -> int:
                      "reconstruction_residual": residual}
     lines = [f"coefficients: {frame.count}",
              f"reconstruction residual: {residual:.3e}"]
-    _artifact(args, vector_dict(c), payload, "coefficients")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, coefficients={"entries": c.tolist()})
     return 0
 
 
@@ -263,10 +256,7 @@ def cmd_reconstruct(args) -> int:
     v = frame.reconstruct(c)
     payload: dict = {"dim": frame.dim, "norm": v.norm()}
     lines = [f"reconstructed vector in H^{frame.dim}", f"norm: {v.norm():.12g}"]
-    _artifact(args, vector_dict(v), payload, "vector")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, vector={"entries": v.tolist()})
     return 0
 
 
@@ -281,10 +271,7 @@ def cmd_map(args) -> int:
         lines.append("not a frame: the operator image fails to span")
         payload["note"] = "not a frame: the operator image fails to span"
     lines += _bounds_lines(report.to_dict())
-    _artifact(args, image.to_dict(), payload, "frame")
-    if args.out:
-        lines.append(f"written: {args.out}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, frame=image.to_dict())
     return 0
 
 
@@ -344,6 +331,14 @@ def _seed(text: str) -> int:
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit "
                                          "integer")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("tolerance must be a finite positive "
+                                         "number")
     return value
 
 
@@ -418,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", metavar="LIST",
                    help="comma-separated NxM pairs, default "
                         + ",".join(f"{n}x{m}" for n, m in DEFAULT_SIZES))
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_tolerance,
                    help="override every check tolerance with one value")
     common(p, out=False)
     p.set_defaults(func=cmd_check)

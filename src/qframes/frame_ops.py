@@ -85,7 +85,7 @@ def map_frame(L: QMatrix, frame: Frame) -> tuple[Frame, FrameReport]:
     if L.shape[1] != frame.dim:
         raise ValueError(f"operator acts on H^{L.shape[1]}, frame lives "
                          f"in H^{frame.dim}")
-    image = Frame([L @ v for v in frame], dim=L.shape[0])
+    image = Frame.from_synthesis(L @ frame.synthesis)
     report = image.report()
     if image.is_frame and frame.is_frame:
         conjugated = L @ frame.frame_operator @ L.H
@@ -109,7 +109,7 @@ def unitary_invariance_check(U: QMatrix, frame: Frame
             raise ValueError("operator is not unitary: Gram drift "
                              f"{float(drift.max()):.3e}")
     before = frame.optimal_bounds()
-    after = Frame([U @ v for v in frame], dim=n).optimal_bounds()
+    after = Frame.from_synthesis(U @ frame.synthesis).optimal_bounds()
     drift = max(abs(after.lower - before.lower) / before.lower,
                 abs(after.upper - before.upper) / before.upper)
     return before, after, drift
@@ -132,7 +132,7 @@ def project_frame(basis: QMatrix, frame: Frame) -> tuple[Frame, FrameBounds]:
     if np.any(gram_drift > ORTHONORMAL_TOL):
         raise ValueError("basis columns are not orthonormal: Gram drift "
                          f"{float(gram_drift.max()):.3e}")
-    compressed = Frame([basis.H @ v for v in frame], dim=d)
+    compressed = Frame.from_synthesis(basis.H @ frame.synthesis)
     return compressed, compressed.optimal_bounds()
 
 
@@ -145,16 +145,19 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     T2 = second.synthesis
     scale2 = operator_norm(T2)
     null1 = kernel_basis(T1)
-    for k in range(null1.shape[1]):
-        kvec = null1.column(k)
-        image_norm = (T2 @ kvec).norm()
-        if image_norm > KERNEL_RTOL * max(scale2, 1e-300):
-            return IntertwinerResult(operator=None, residual=None, witness=kvec)
+    escaped = np.flatnonzero(_column_norms(T2 @ null1)
+                             > KERNEL_RTOL * max(scale2, 1e-300))
+    if escaped.size:
+        return IntertwinerResult(operator=None, residual=None,
+                                 witness=null1.column(escaped[0]))
     L = T2 @ pinv(T1)
-    mismatch = L @ T1 - T2
-    col_norms = [mismatch.column(i).norm() for i in range(mismatch.shape[1])]
-    residual = max(col_norms) if col_norms else 0.0
+    residual = float(_column_norms(L @ T1 - T2).max(initial=0.0))
     return IntertwinerResult(operator=L, residual=residual, witness=None)
+
+
+def _column_norms(M: QMatrix) -> np.ndarray:
+    a, b = M.split
+    return np.sqrt((a.conj() * a).real.sum(axis=0) + (b.conj() * b).real.sum(axis=0))
 
 
 def are_equivalent(first: Frame, second: Frame) -> EquivalenceResult:
@@ -189,7 +192,7 @@ def frame_with_frame_operator(L: QMatrix) -> Frame:
     if L.shape != (n, n):
         raise ValueError(f"expected a square matrix, got {L.shape}")
     root = sqrt_psd(L)  # rejects non-Hermitian and indefinite input
-    candidate = Frame(root.columns(), dim=n)
+    candidate = Frame.from_synthesis(root)
     if not candidate.is_frame:
         raise ValueError("matrix is not positive definite: the square-root "
                          "columns do not span")
@@ -202,4 +205,4 @@ def bessel_from_operator(L: QMatrix) -> Frame:
     Columns of the adjoint are read off directly, so the round trip through
     the family's analysis matrix is exact, entry for entry.
     """
-    return Frame(L.H.columns(), dim=L.shape[1])
+    return Frame.from_synthesis(L.H)

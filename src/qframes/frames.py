@@ -1,8 +1,13 @@
 """Finite frames in H^n: verification, optimal bounds, coefficients, duals.
 
 A finite family {u_i} in H^n is a frame when A ||u||^2 <= sum |<u_i, u>|^2
-<= B ||u||^2 for some 0 < A <= B. With the synthesis matrix T (columns u_i)
-the frame operator is S = T T* = sum u_i u_i*, and the optimal bounds are the
+<= B ||u||^2 for some 0 < A <= B. A Frame is its synthesis matrix T, the
+n x m matrix whose columns are the u_i, and every derived family is a new T:
+
+    Frame.from_synthesis(T)                      # the family {u_i}
+    Frame.from_synthesis(L @ T)                  # its image {L u_i}
+
+The frame operator is S = T T* = sum u_i u_i*, and the optimal bounds are the
 extreme eigenvalues of S. Coefficient, dual, and normalization routines all
 run through the spectral factorization of S; families whose frame operator is
 singular are reported as rank-deficient rather than rejected.
@@ -70,61 +75,71 @@ class FrameReport:
 
 
 class Frame:
-    """Immutable indexed family of vectors in H^n.
+    """Immutable indexed family of vectors in H^n, held as its synthesis matrix.
 
-    Vector count m may be anything, including zero; dim must be at least 1.
-    Zero vectors are legal members. Whether the family actually spans is a
-    question answered by is_frame, not by the constructor.
+    A frame is its n x m synthesis matrix T, whose i-th column is u_i; build
+    one with Frame.from_synthesis(T), or with Frame(vectors, dim) from the
+    vectors themselves. Vector count m may be anything, including zero; dim
+    must be at least 1. Zero vectors are legal members. Whether the family
+    actually spans is a question answered by is_frame, not by the constructor.
     """
 
     def __init__(self, vectors: Iterable, dim: int | None = None):
-        vs = []
+        columns = []
         for i, v in enumerate(vectors):
             v = v if isinstance(v, QVector) else QVector(v)
             if dim is None:
                 dim = len(v)
             elif len(v) != dim:
                 raise ValueError(f"vector {i} has length {len(v)}, expected {dim}")
-            vs.append(v)
+            columns.append(v)
         if dim is None:
             raise ValueError("an empty family needs an explicit dim")
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
-        self._dim = int(dim)
-        self._vectors = tuple(vs)
+        self._synthesis = QMatrix.from_columns(columns, dim=int(dim))
+
+    @classmethod
+    def from_synthesis(cls, T: QMatrix) -> "Frame":
+        """The family of the columns of T, held without copying T."""
+        if T.shape[0] < 1:
+            raise ValueError(f"dim must be at least 1, got {T.shape[0]}")
+        frame = cls.__new__(cls)
+        frame._synthesis = T
+        return frame
 
     # -- basic structure ------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._synthesis.shape[0]
 
     @property
     def count(self) -> int:
-        return len(self._vectors)
+        return self._synthesis.shape[1]
 
-    @property
+    @cached_property
     def vectors(self) -> tuple[QVector, ...]:
-        return self._vectors
+        return tuple(self._synthesis.columns())
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self.count
 
     def __iter__(self):
-        return iter(self._vectors)
+        return iter(self.vectors)
 
     def __getitem__(self, i: int) -> QVector:
-        return self._vectors[i]
+        return self.vectors[i]
 
     def __repr__(self) -> str:
         return f"Frame(dim={self.dim}, count={self.count})"
 
     # -- operators ------------------------------------------------------
 
-    @cached_property
+    @property
     def synthesis(self) -> QMatrix:
         """Synthesis matrix T, n x m, i-th column is u_i; T c = sum u_i c_i."""
-        return QMatrix.from_columns(self._vectors, dim=self._dim)
+        return self._synthesis
 
     @cached_property
     def frame_operator(self) -> QMatrix:
@@ -152,7 +167,7 @@ class Frame:
     @property
     def is_frame(self) -> bool:
         lam = self.spectrum
-        return bool(lam[-1] > self._dim * FRAME_RTOL * lam[0]) if len(lam) else False
+        return bool(lam[-1] > self.dim * FRAME_RTOL * lam[0]) if len(lam) else False
 
     def optimal_bounds(self) -> FrameBounds:
         if not self.is_frame:
@@ -220,13 +235,11 @@ class Frame:
 
     def canonical_dual(self) -> "Frame":
         """The frame {S^-1 u_i}; its bounds are (1/B, 1/A)."""
-        dual = self._inverse_operator @ self.synthesis
-        return Frame(dual.columns(), dim=self.dim)
+        return Frame.from_synthesis(self._inverse_operator @ self.synthesis)
 
     def parseval_normalize(self) -> "Frame":
         """The Parseval frame {S^(-1/2) u_i} with frame operator I."""
-        tight = self._inv_sqrt_operator @ self.synthesis
-        return Frame(tight.columns(), dim=self.dim)
+        return Frame.from_synthesis(self._inv_sqrt_operator @ self.synthesis)
 
     def coefficient_transport(self, R: QMatrix) -> QMatrix:
         """Matrix carrying the coefficients of u to those of R u.
@@ -268,7 +281,7 @@ class Frame:
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "vectors": [v.tolist() for v in self._vectors],
+            "vectors": self._synthesis.components.transpose(1, 0, 2).tolist(),
         }
 
     @classmethod
@@ -276,16 +289,21 @@ class Frame:
         if not isinstance(data, dict) or "dim" not in data or "vectors" not in data:
             raise ValueError('frame data must carry "dim" and "vectors"')
         dim = data["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f'"dim" must be a positive integer, got {dim!r}')
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')
-        out = []
+        columns = []
         for i, entries in enumerate(vectors):
             arr = np.asarray(entries, dtype=float)
             if arr.shape != (dim, 4):
                 raise ValueError(f"vector {i}: expected {dim} entries of 4 "
                                  f"components, got shape {arr.shape}")
-            out.append(QVector(arr))
-        return cls(out, dim=dim)
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+            if bad.size:
+                raise ValueError(f"vector {i}, entry {bad[0]}: components must "
+                                 f"be finite, got {arr[bad[0]].tolist()}")
+            columns.append(arr)
+        comps = np.stack(columns, axis=1) if columns else np.zeros((dim, 0, 4))
+        return cls.from_synthesis(QMatrix(comps))

@@ -83,4 +83,5 @@ def random_rank_deficient(m: int, n: int, rank: int,
 
 def random_frame(n: int, m: int, rng: np.random.Generator) -> Frame:
     """m independent Gaussian vectors in H^n; a frame with probability one."""
-    return Frame([random_vector(n, rng) for _ in range(m)], dim=n)
+    vectors = rng.standard_normal((m, n, 4))
+    return Frame.from_synthesis(QMatrix(vectors.transpose(1, 0, 2)))

@@ -8,10 +8,9 @@ see the verdict lines on success:
 """
 
 import json
-import subprocess
-import sys
 
 import numpy as np
+from conftest import run_cli
 
 from qframes.frame_ops import are_equivalent, map_frame, project_frame, \
     unitary_invariance_check
@@ -348,9 +347,7 @@ def test_criterion_10_coefficient_transport():
 
 def test_criterion_11_cli_determinism(tmp_path):
     def run(args):
-        res = subprocess.run([sys.executable, "-m", "qframes.cli", *args],
-                             capture_output=True, text=True, cwd=tmp_path)
-        return res
+        return run_cli(args, tmp_path)
 
     gen_cmd = ["gen", "-n", "3", "-m", "7", "--seed", "41", "--out", "a.json"]
     gen1 = run(gen_cmd)

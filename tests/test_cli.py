@@ -1,18 +1,12 @@
 """End-to-end command line runs through a subprocess."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 RECON_TOL = 1e-9
-
-
-def run_cli(args, cwd):
-    return subprocess.run([sys.executable, "-m", "qframes.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
 
 
 def write_json(path, data):
@@ -294,6 +288,13 @@ def test_check_impossible_tolerance_fails(tmp_path):
     assert "FAIL" in res.stdout
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_check_rejects_bad_tolerance(tmp_path, tol):
+    res = run_cli(["check", "--tol", tol], tmp_path)
+    assert res.returncode == 2
+    assert "--tol" in res.stderr and "finite positive" in res.stderr
+
+
 def test_check_rejects_bad_sizes(tmp_path):
     res = run_cli(["check", "--sizes", "3by8"], tmp_path)
     assert res.returncode == 2
@@ -330,6 +331,49 @@ def test_malformed_operator_payload_exits_2(tmp_path):
     write_json(tmp_path / "op.json", {"rows": 2, "cols": 2, "entries": [[1]]})
     res = run_cli(["map", "f.json", "op.json"], tmp_path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"dim": True, "vectors": [[[1, 0, 0, 0]]]},
+     'f.json: "dim" must be a positive integer, got True'),
+    ({"dim": 2, "vectors": [[[1, 0, 0, 0], [0, 0, 0, 0]],
+                            [[1, 0, 0, 0], [0, 0, float("nan"), 0]]]},
+     "f.json: vector 1, entry 1: components must be finite"),
+], ids=["bool-dim", "nan-entry"])
+def test_frame_file_values_are_checked(tmp_path, payload, message):
+    write_json(tmp_path / "f.json", payload)
+    res = run_cli(["info", "f.json"], tmp_path)
+    assert res.returncode == 2
+    assert message in res.stderr
+
+
+def test_non_finite_operator_and_vector_entries_exit_2(tmp_path):
+    run_cli(["gen", "-n", "2", "-m", "4", "--seed", "1", "--out", "f.json"],
+            tmp_path)
+    op = diag_operator([1.0, 2.0])
+    op["entries"][1][0][3] = float("nan")
+    write_json(tmp_path / "op.json", op)
+    res = run_cli(["map", "f.json", "op.json"], tmp_path)
+    assert res.returncode == 2
+    assert "op.json: entry (1, 0) has a non-finite component" in res.stderr
+    write_json(tmp_path / "u.json",
+               {"entries": [[1.0, 0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0, 0.0]]})
+    res = run_cli(["coeffs", "f.json", "u.json"], tmp_path)
+    assert res.returncode == 2
+    assert "u.json: entry (1) has a non-finite component" in res.stderr
+
+
+def test_non_object_top_level_exits_2(tmp_path):
+    run_cli(["gen", "-n", "2", "-m", "4", "--seed", "1", "--out", "f.json"],
+            tmp_path)
+    (tmp_path / "five.json").write_text("5\n", encoding="utf-8")
+    for args in (["map", "f.json", "five.json"],
+                 ["coeffs", "f.json", "five.json"],
+                 ["info", "five.json"]):
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert "five.json: the top level must be a JSON object" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_usage_error_exits_2(tmp_path):

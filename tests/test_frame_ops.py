@@ -58,6 +58,8 @@ def test_map_frame_conjugation_identity_random():
         image, report = map_frame(L, fr)
         assert image.is_frame
         assert report.residuals["operator-conjugation"] <= IMAGE_TOL
+        assert np.array_equal(image.synthesis.components,
+                              (L @ fr.synthesis).components)
 
 
 def test_map_frame_rank_deficient_image():

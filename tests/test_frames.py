@@ -9,6 +9,7 @@ from qframes.quaternion import I, J, K, Quaternion
 from qframes.sampling import (
     random_frame,
     random_invertible,
+    random_matrix,
     random_vector,
 )
 
@@ -50,6 +51,8 @@ def test_empty_family_needs_dim():
 def test_dim_must_be_positive():
     with pytest.raises(ValueError, match="at least 1"):
         Frame([], dim=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        Frame.from_synthesis(QMatrix.zeros(0, 3))
 
 
 def test_zero_vectors_are_legal_members():
@@ -80,6 +83,14 @@ def test_synthesis_columns_are_the_vectors():
     assert T.shape == (2, 3)
     for k in range(3):
         assert (T.column(k) - fr[k]).norm() == 0.0
+    T = random_matrix(3, 5, np.random.default_rng(40))
+    fr = Frame.from_synthesis(T)
+    assert fr.synthesis is T
+    assert (fr.dim, fr.count, len(fr)) == (3, 5, 5)
+    for by_index, by_iter, held, col in zip(
+            (fr[k] for k in range(5)), fr, fr.vectors, T.columns(), strict=True):
+        for v in (by_index, by_iter, held):
+            assert np.array_equal(v.components, col.components)
 
 
 def test_analysis_reads_inner_products():
@@ -434,6 +445,20 @@ def test_dict_round_trip():
     assert back.dim == fr.dim
     assert back.count == fr.count
     assert (back.synthesis - fr.synthesis).frobenius_norm() == 0.0
+    T = fr.synthesis
+    assert Frame(T.columns(), dim=3).to_dict() == Frame.from_synthesis(T).to_dict()
+    empty = Frame([], dim=2).to_dict()
+    assert empty == {"dim": 2, "vectors": []}
+    assert Frame.from_dict(empty).synthesis.shape == (2, 0)
+
+
+def test_random_frame_draws_vector_by_vector():
+    # the single (m, n, 4) draw consumes the stream exactly like m vector
+    # draws, which keeps generated frame files stable for a fixed seed
+    fr = random_frame(3, 5, np.random.default_rng(48))
+    rng = np.random.default_rng(48)
+    old = Frame([random_vector(3, rng) for _ in range(5)], dim=3)
+    assert np.array_equal(fr.synthesis.components, old.synthesis.components)
 
 
 def test_from_dict_rejects_bad_payloads():
@@ -445,6 +470,12 @@ def test_from_dict_rejects_bad_payloads():
         Frame.from_dict({"dim": 2, "vectors": "nope"})
     with pytest.raises(ValueError, match="vector 0"):
         Frame.from_dict({"dim": 2, "vectors": [[[1, 0, 0, 0]]]})
+    with pytest.raises(ValueError, match="positive integer, got True"):
+        Frame.from_dict({"dim": True, "vectors": [[[1, 0, 0, 0]]]})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vector 1, entry 0: .* finite"):
+            Frame.from_dict({"dim": 1, "vectors": [[[1, 0, 0, 0]],
+                                                   [[0, bad, 0, 0]]]})
 
 
 def test_serialized_floats_are_exact():
