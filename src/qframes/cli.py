@@ -54,6 +54,10 @@ def load_operator(path: str) -> QMatrix:
         if key not in data:
             raise ValueError(f'{path}: operator data must carry "{key}"')
     rows, cols = data["rows"], data["cols"]
+    for key, value in (("rows", rows), ("cols", cols)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f'{path}: "{key}" must be a positive integer, '
+                             f'got {value!r}')
     arr = np.asarray(data["entries"], dtype=float)
     if arr.shape != (rows, cols, 4):
         raise ValueError(f"{path}: entries have shape {arr.shape}, expected "
@@ -202,9 +206,9 @@ def cmd_dual(args) -> int:
     reciprocity = max(abs(dbounds.lower - 1.0 / bounds.upper) * bounds.upper,
                       abs(dbounds.upper - 1.0 / bounds.lower) * bounds.lower)
     back = dual.canonical_dual()
-    scale = max(max((v.norm() for v in frame), default=0.0), 1e-300)
-    round_trip = max(((v - w).norm() / scale
-                      for v, w in zip(frame, back)), default=0.0)
+    scale = max(frame.synthesis.column_norms().max(initial=0.0), 1e-300)
+    round_trip = float((frame.synthesis - back.synthesis).column_norms()
+                       .max(initial=0.0)) / scale
     payload: dict = {
         "dim": dual.dim, "count": dual.count,
         "bounds": {"lower": dbounds.lower, "upper": dbounds.upper},

@@ -145,19 +145,14 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     T2 = second.synthesis
     scale2 = operator_norm(T2)
     null1 = kernel_basis(T1)
-    escaped = np.flatnonzero(_column_norms(T2 @ null1)
+    escaped = np.flatnonzero((T2 @ null1).column_norms()
                              > KERNEL_RTOL * max(scale2, 1e-300))
     if escaped.size:
         return IntertwinerResult(operator=None, residual=None,
                                  witness=null1.column(escaped[0]))
     L = T2 @ pinv(T1)
-    residual = float(_column_norms(L @ T1 - T2).max(initial=0.0))
+    residual = float((L @ T1 - T2).column_norms().max(initial=0.0))
     return IntertwinerResult(operator=L, residual=residual, witness=None)
-
-
-def _column_norms(M: QMatrix) -> np.ndarray:
-    a, b = M.split
-    return np.sqrt((a.conj() * a).real.sum(axis=0) + (b.conj() * b).real.sum(axis=0))
 
 
 def are_equivalent(first: Frame, second: Frame) -> EquivalenceResult:

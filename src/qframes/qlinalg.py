@@ -7,17 +7,22 @@ routine factors through the complex embedding
 
     chi(A + B*j) = [[A, B], [-conj(B), conj(A)]],
 
-which is a *-algebra homomorphism. Each quaternionic eigenvalue or singular
-value shows up twice in the embedded problem; recovery validates that
-doubling, averages the pairs, groups near-coincident values, and
-re-orthonormalizes the pulled-back vectors inside each group, so the returned
-factors meet the factorization and unitarity contracts even for degenerate
-spectra.
+which is a *-algebra homomorphism, so it commutes with matrix functions and
+pseudoinverses. Each quaternionic eigenvalue or singular value shows up twice
+in the embedded problem. Once that doubling is validated, the LAPACK factors
+of chi(M) are the one spectral representation: matrix functions,
+pseudoinverses and minimal-norm solutions are formed from them and folded
+back to the nearest quaternionic matrix, and ranks read the singular values
+alone. Quaternionic eigenvectors and singular vectors are recovered only on
+request: a simple value takes one embedded column of its pair, a degenerate
+group is orthonormalized inside itself, and two Newton-Schulz steps make the
+columns orthonormal to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Callable, Sequence
 
@@ -311,6 +316,12 @@ class QMatrix:
     def entry_moduli(self) -> np.ndarray:
         return np.sqrt(np.abs(self._a) ** 2 + np.abs(self._b) ** 2)
 
+    def column_norms(self) -> np.ndarray:
+        """Euclidean norm of each column, as one array."""
+        a, b = self._a, self._b
+        return np.sqrt((a.conj() * a).real.sum(axis=0)
+                       + (b.conj() * b).real.sum(axis=0))
+
     def __repr__(self) -> str:
         return f"QMatrix(shape={self.shape})"
 
@@ -383,53 +394,7 @@ def unembed_vector(z: np.ndarray) -> QVector:
 
 
 # ---------------------------------------------------------------------------
-# recovery of quaternionic orthonormal systems from embedded spectra
-
-def _unembed_pool(W: np.ndarray) -> list[list[np.ndarray]]:
-    """Columns of W (shape 2n x k) as mutable split candidates [a, b]."""
-    n = W.shape[0] // 2
-    a = W[:n, :]
-    b = -W[n:, :].conj()
-    return [[a[:, i].copy(), b[:, i].copy()] for i in range(W.shape[1])]
-
-
-def _project_out(basis: list[tuple[np.ndarray, np.ndarray]], a, b):
-    for ea, eb in basis:
-        z1, z2 = _split_inner(ea, eb, a, b)
-        sa, sb = _right_scale(ea, eb, z1, z2)
-        a = a - sa
-        b = b - sb
-    return a, b
-
-
-def _extract_orthonormal(cands, need: int, accepted: list) -> None:
-    """Move `need` orthonormal vectors from the candidate pool into `accepted`.
-
-    Candidates spanning the same right submodule arrive redundantly (the
-    embedded spectrum is doubled), so selection pivots on the largest residual
-    after projecting away everything already accepted. One
-    re-orthogonalization pass keeps the growing system orthonormal to
-    rounding; residual polishing is harmless for the factorization because a
-    spurious component along an already-accepted direction contributes at the
-    scale of the value gap, which grouping has already bounded.
-    """
-    cands = [list(_project_out(accepted, a, b)) for a, b in cands]
-    for _ in range(need):
-        norms = [_split_norm_sq(a, b) for a, b in cands]
-        pick = int(np.argmax(norms))
-        a, b = cands.pop(pick)
-        a, b = _project_out(accepted, a, b)
-        nrm = np.sqrt(_split_norm_sq(a, b))
-        if nrm < 1e-6:
-            raise np.linalg.LinAlgError(
-                "failed to recover an orthonormal quaternionic system from the "
-                "embedded spectrum")
-        a /= nrm
-        b /= nrm
-        accepted.append((a, b))
-        for cand in cands:
-            cand[0], cand[1] = _project_out([(a, b)], cand[0], cand[1])
-
+# the embedded spectrum and the way back to quaternionic blocks
 
 def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
     """Contiguous groups (start, stop) of near-coincident sorted values."""
@@ -456,11 +421,73 @@ def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
     return 0.5 * (even + odd)
 
 
-def _stack_accepted(accepted, rows: int) -> QMatrix:
-    if not accepted:
-        return QMatrix.zeros(rows, 0)
-    a = np.column_stack([pair[0] for pair in accepted])
-    b = np.column_stack([pair[1] for pair in accepted])
+def _fold(X: np.ndarray) -> QMatrix:
+    """The quaternionic matrix whose embedding is nearest to X, shape 2m x 2n."""
+    m, n = X.shape[0] // 2, X.shape[1] // 2
+    return QMatrix.from_split(0.5 * (X[:m, :n] + X[m:, n:].conj()),
+                              0.5 * (X[:m, n:] - X[m:, :n].conj()))
+
+
+def _partner(z: np.ndarray) -> np.ndarray:
+    """Embedded coordinates of u*j, given those of u."""
+    n = z.shape[0] // 2
+    return np.concatenate([z[n:], -z[:n]]).conj()
+
+
+def _group_basis(C: np.ndarray, need: int) -> np.ndarray:
+    """`need` embedded vectors spanning the j-closed column space of C.
+
+    Each step takes a pivot, the first candidate whose residual is at least
+    half the largest, and projects it and its j-partner out of the others, so
+    the chosen vectors are orthonormal in the quaternionic inner product.
+    Taking the first rather than the largest keeps the vectors in the order
+    of their values when a group holds close but distinct values.
+    """
+    C = C.copy()
+    out = np.empty((C.shape[0], need), dtype=complex)
+    for t in range(need):
+        norms = np.linalg.norm(C, axis=0)
+        if norms.max() < 1e-6:
+            raise np.linalg.LinAlgError(
+                "failed to recover an orthonormal quaternionic system from the "
+                "embedded spectrum")
+        p = int(np.argmax(norms >= 0.5 * norms.max()))
+        z = C[:, p] / norms[p]
+        out[:, t] = z
+        E = np.column_stack([z, _partner(z)])
+        C -= E @ (E.conj().T @ C)
+    return out
+
+
+def _recover(W: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
+    """One embedded quaternionic vector per value from the doubled columns W.
+
+    The j-partner of an embedded eigenvector lies in its own eigenspace, so
+    vectors of different groups are already quaternion-orthogonal: a simple
+    value takes one column of its pair, and only degenerate groups are
+    orthonormalized, inside the group.
+    """
+    Z = W[:, 0::2].copy()
+    for start, stop in _group_values(values, scale):
+        if stop - start > 1:
+            Z[:, start:stop] = _group_basis(W[:, 2 * start:2 * stop], stop - start)
+    return Z
+
+
+def _polish(Z: np.ndarray) -> QMatrix:
+    """The quaternionic columns of Z after two steps of U <- U (3I - U*U) / 2.
+
+    Vectors of groups just over CLUSTER_TOL apart carry cross terms of order
+    eps / gap, up to about 1e-6. Each Newton-Schulz step squares them (one
+    step leaves about 1e-12), and the mixing it applies reaches a
+    factorization only multiplied by the gap between the groups.
+    """
+    n = Z.shape[0] // 2
+    a, b = Z[:n], -Z[n:].conj()
+    eye = np.eye(Z.shape[1])
+    for _ in range(2):
+        ga, gb = _split_matmul(a.conj().T, -b.T, a, b)
+        a, b = _split_matmul(a, b, 1.5 * eye - 0.5 * ga, -0.5 * gb)
     return QMatrix.from_split(a, b)
 
 
@@ -471,20 +498,28 @@ def _stack_accepted(accepted, rows: int) -> QMatrix:
 class HermEig:
     """Spectral factorization M = U diag(eigenvalues) U* of a Hermitian M.
 
-    Eigenvalues are real and sorted descending; eigenvector columns are
-    orthonormal in the quaternionic inner product.
+    Eigenvalues are real and sorted descending. The factorization is held as
+    `embedded`, the eigenvectors of chi(M) as eigh returned them (ascending,
+    two per eigenvalue). Matrix functions are read off them directly; the
+    quaternionic eigenvector columns, orthonormal in the quaternionic inner
+    product, are recovered on first use.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: QMatrix
+    embedded: np.ndarray
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
-        """U diag(fn(eigenvalues)) U*, re-symmetrized to be exactly Hermitian."""
+        """U diag(fn(eigenvalues)) U*, exactly Hermitian."""
         values = np.asarray(fn(self.eigenvalues), dtype=float)
-        ua, ub = self.eigenvectors.split
-        sa, sb = ua * values, ub * values
-        ga, gb = _split_matmul(sa, sb, ua.conj().T, -ub.T)
-        return QMatrix.from_split(0.5 * (ga + ga.conj().T), 0.5 * (gb - gb.T))
+        W = self.embedded
+        X = (W * np.repeat(values[::-1], 2)) @ W.conj().T
+        return _fold(0.5 * (X + X.conj().T))
+
+    @cached_property
+    def eigenvectors(self) -> QMatrix:
+        lam = self.eigenvalues[::-1]
+        spread = float(np.abs(lam).max()) if len(lam) else 0.0
+        return _polish(_recover(self.embedded, lam, spread)[:, ::-1])
 
 
 def herm_eig(M: QMatrix) -> HermEig:
@@ -508,16 +543,7 @@ def herm_eig(M: QMatrix) -> HermEig:
     chi = 0.5 * (chi + chi.conj().T)
     doubled, W = np.linalg.eigh(chi)
     lam = _validate_pairing(doubled, "eigen")
-
-    accepted: list = []
-    spread = float(np.abs(lam).max()) if n else 0.0
-    for start, stop in _group_values(lam, spread):
-        cands = _unembed_pool(W[:, 2 * start: 2 * stop])
-        _extract_orthonormal(cands, stop - start, accepted)
-
-    accepted.reverse()
-    return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]),
-                   eigenvectors=_stack_accepted(accepted, n))
+    return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]), embedded=W)
 
 
 def sqrt_psd(M: QMatrix) -> QMatrix:
@@ -559,52 +585,41 @@ def _rank_from_sigma(sigma: np.ndarray, m: int, n: int, rtol: float | None) -> i
     return int(np.count_nonzero(sigma > rtol * sigma[0]))
 
 
-def svd(M: QMatrix) -> QSvd:
-    """Singular value decomposition through the complex embedding."""
-    m, n = M.shape
-    k = min(m, n)
-    chi = complex_adjoint(M)
-    Wl, doubled, Wrh = np.linalg.svd(chi)
+def _thin_svd(M: QMatrix, rtol: float | None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (Wl, s, Wr) of chi(M), cut at twice the rank of M."""
+    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M), full_matrices=False)
     sigma = _validate_pairing(doubled, "singular")
-    smax = float(sigma[0]) if k else 0.0
+    r = 2 * _rank_from_sigma(sigma, *M.shape, rtol)
+    return Wl[:, :r], np.repeat(sigma, 2)[:r], Wrh[:r].conj().T
 
-    # Right vectors: grouped joint recovery, then the tail of the embedded
-    # basis (present when n > m) refilled as an extra null group.
+
+def svd(M: QMatrix) -> QSvd:
+    """Singular value decomposition through the complex embedding.
+
+    The right and left vectors of a nonzero singular value are recovered
+    together, as one vector (v, u) of H^(n+m), so the columns chosen for v
+    and for u are the ones LAPACK paired. The values grouped with zero and
+    the tail of the larger side span the null spaces of M and M*, which are
+    recovered on each side alone.
+    """
+    m, n = M.shape
+    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M))
+    sigma = _validate_pairing(doubled, "singular")
+    smax = float(sigma[0]) if len(sigma) else 0.0
     Wr = Wrh.conj().T
-    accepted_v: list = []
-    for start, stop in _group_values(sigma, smax):
-        cands = _unembed_pool(Wr[:, 2 * start: 2 * stop])
-        _extract_orthonormal(cands, stop - start, accepted_v)
-    if n > k:
-        cands = _unembed_pool(Wr[:, 2 * k:])
-        _extract_orthonormal(cands, n - k, accepted_v)
-    v = _stack_accepted(accepted_v, n)
-
-    # Left vectors: u_i = M v_i / sigma_i wherever sigma_i is meaningfully
-    # nonzero. Polishing against the accepted set keeps u orthonormal, and
-    # any polish-induced drift enters the factorization multiplied by
-    # sigma_i, so the reconstruction contract survives ill conditioning.
-    cutoff = max(m, n) * RANK_RTOL * smax
-    accepted_u: list = []
-    Ma, Mb = M.split
-    for i in range(k):
-        if sigma[i] <= cutoff:
-            break
-        va, vb = accepted_v[i]
-        ua, ub = _split_matmul(Ma, Mb, va[:, None], vb[:, None])
-        a, b = _project_out(accepted_u, ua[:, 0] / sigma[i], ub[:, 0] / sigma[i])
-        nrm = np.sqrt(_split_norm_sq(a, b))
-        if nrm < 0.5:
-            raise np.linalg.LinAlgError(
-                "left singular vector collapsed during re-orthonormalization")
-        accepted_u.append((a / nrm, b / nrm))
-    if len(accepted_u) < m:
-        pool = _unembed_pool(Wl)
-        _extract_orthonormal(pool, m - len(accepted_u), accepted_u)
-
-    return QSvd(u=_stack_accepted(accepted_u, m),
-                singular_values=np.ascontiguousarray(sigma),
-                v=v)
+    z = _group_values(np.append(sigma, 0.0), smax)[-1][0]
+    # The embedding of (v, u) stacks the halves as (v top, u top, v bottom,
+    # u bottom); the scaling makes each stacked column a unit vector.
+    both = np.concatenate([Wr[:n, :2 * z], Wl[:m, :2 * z],
+                           Wr[n:, :2 * z], Wl[m:, :2 * z]]) / np.sqrt(2)
+    Y = _recover(both, sigma[:z], smax) * np.sqrt(2)
+    v = np.hstack([np.concatenate([Y[:n], Y[n + m:2 * n + m]]),
+                   _recover(Wr[:, 2 * z:], np.zeros(n - z), smax)])
+    u = np.hstack([np.concatenate([Y[n:n + m], Y[2 * n + m:]]),
+                   _recover(Wl[:, 2 * z:], np.zeros(m - z), smax)])
+    return QSvd(u=_polish(u), singular_values=np.ascontiguousarray(sigma),
+                v=_polish(v))
 
 
 def operator_norm(M: QMatrix) -> float:
@@ -616,19 +631,14 @@ def operator_norm(M: QMatrix) -> float:
 
 
 def matrix_rank(M: QMatrix, rtol: float | None = None) -> int:
-    return svd(M).rank(rtol)
+    doubled = np.linalg.svd(complex_adjoint(M), compute_uv=False)
+    return _rank_from_sigma(_validate_pairing(doubled, "singular"), *M.shape, rtol)
 
 
 def pinv(M: QMatrix, rtol: float | None = None) -> QMatrix:
-    """Moore-Penrose pseudoinverse via the SVD route."""
-    fac = svd(M)
-    r = fac.rank(rtol)
-    ua, ub = fac.u.split
-    va, vb = fac.v.split
-    inv = 1.0 / fac.singular_values[:r]
-    a, b = _split_matmul(va[:, :r] * inv, vb[:, :r] * inv,
-                         ua[:, :r].conj().T, -ub[:, :r].T)
-    return QMatrix.from_split(a, b)
+    """Moore-Penrose pseudoinverse, folded back from that of chi(M)."""
+    Wl, s, Wr = _thin_svd(M, rtol)
+    return _fold((Wr / s) @ Wl.conj().T)
 
 
 def kernel_basis(M: QMatrix, rtol: float | None = None) -> QMatrix:
@@ -643,21 +653,14 @@ def solve_min_norm(M: QMatrix, v: QVector, rtol: float | None = None) -> QVector
     """Minimal-norm solution of M x = v; rejects RHS outside the range."""
     if M.shape[0] != len(v):
         raise ValueError(f"shape mismatch: {M.shape} against length {len(v)}")
-    fac = svd(M)
-    r = fac.rank(rtol)
-    ua, ub = fac.u.split
-    ur = QMatrix.from_split(ua[:, :r], ub[:, :r])
-    coeffs = ur.H @ v
-    resid = (v - ur @ coeffs).norm()
+    Wl, s, Wr = _thin_svd(M, rtol)
+    z = embed_vector(v)
+    coeffs = Wl.conj().T @ z
+    resid = float(np.linalg.norm(z - Wl @ coeffs))
     if resid > RANGE_RTOL * max(v.norm(), 1e-300):
         raise ValueError(f"right-hand side is not in the range: relative "
                          f"residual {resid / max(v.norm(), 1e-300):.3e}")
-    ca, cb = coeffs.split
-    inv = 1.0 / fac.singular_values[:r]
-    va, vb = fac.v.split
-    xa, xb = _split_matmul(va[:, :r], vb[:, :r],
-                           (ca * inv)[:, None], (cb * inv)[:, None])
-    return QVector.from_split(xa[:, 0], xb[:, 0])
+    return unembed_vector(Wr @ (coeffs / s))
 
 
 def is_surjective(M: QMatrix, rtol: float | None = None) -> bool:

@@ -347,6 +347,19 @@ def test_frame_file_values_are_checked(tmp_path, payload, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_operator_file_rejects_bool_dimension(tmp_path, key):
+    # true == 1 in Python, so a 1 x 1 operator would otherwise pass
+    run_cli(["gen", "-n", "1", "-m", "2", "--seed", "1", "--out", "f.json"],
+            tmp_path)
+    op = diag_operator([2.0])
+    op[key] = True
+    write_json(tmp_path / "op.json", op)
+    res = run_cli(["map", "f.json", "op.json"], tmp_path)
+    assert res.returncode == 2
+    assert f'op.json: "{key}" must be a positive integer, got True' in res.stderr
+
+
 def test_non_finite_operator_and_vector_entries_exit_2(tmp_path):
     run_cli(["gen", "-n", "2", "-m", "4", "--seed", "1", "--out", "f.json"],
             tmp_path)

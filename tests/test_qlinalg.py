@@ -260,6 +260,12 @@ def test_herm_eig_random_bulk():
             assert frob(refactor) <= FACTOR_TOL * max(frob(M), 1e-300)
             drift = U.H @ U - QMatrix.identity(n)
             assert drift.entry_moduli().max() <= UNITARY_TOL
+            # matrix functions come from the embedded factors; they agree
+            # with the recovered eigenvectors and are exactly Hermitian
+            F = eig.apply(np.exp)
+            reference = U @ QMatrix.diag(np.exp(eig.eigenvalues)) @ U.H
+            assert frob(F - reference) <= 1e-12 * frob(reference)
+            assert np.array_equal(F.components, F.H.components)
 
 
 def test_herm_eig_degenerate_spectra():
@@ -278,6 +284,24 @@ def test_herm_eig_degenerate_spectra():
         assert frob(refactor) <= FACTOR_TOL * frob(M)
         drift = U.H @ U - QMatrix.identity(n)
         assert drift.entry_moduli().max() <= UNITARY_TOL
+
+
+def test_herm_eig_close_groups_stay_orthonormal():
+    # 1 and 1 + 5e-10 lie just outside CLUSTER_TOL, so LAPACK's vectors of
+    # the two groups carry cross terms of order 1e-6 that the polish has to
+    # remove; 1 and 1 + 5e-11 form one group whose vectors must still follow
+    # their values
+    rng = np.random.default_rng(57)
+    for lam in ([3.0, 2.0, 1.0 + 5e-10, 1.0], [3.0, 2.0, 1.0 + 5e-11, 1.0]):
+        for _ in range(5):
+            Q = random_unitary(4, rng)
+            M = Q @ QMatrix.diag(lam) @ Q.H
+            eig = herm_eig(M)
+            U = eig.eigenvectors
+            refactor = U @ QMatrix.diag(eig.eigenvalues) @ U.H - M
+            assert frob(refactor) <= 1e-14 * frob(M)
+            drift = U.H @ U - QMatrix.identity(4)
+            assert drift.entry_moduli().max() <= 1e-14
 
 
 def test_herm_eig_doubling_visible_in_embedding():
@@ -371,15 +395,25 @@ def test_svd_factorization_bulk():
 
 
 def test_svd_rank_deficient():
+    # the zero singular values and the tail of the larger side span one null
+    # space, so they are recovered as one group
     rng = np.random.default_rng(73)
-    M = random_rank_deficient(4, 6, 2, rng)
-    fac = svd(M)
-    assert fac.rank() == 2
-    assert np.all(fac.singular_values[2:] <= 1e-10)
-    core = np.zeros((4, 6))
-    core[:4, :4] = np.diag(fac.singular_values)
-    refactor = fac.u @ QMatrix.from_real(core) @ fac.v.H - M
-    assert frob(refactor) <= FACTOR_TOL * frob(M)
+    for m, n, rank in ((4, 6, 2), (3, 8, 1), (2, 7, 0), (7, 3, 1)):
+        M = random_rank_deficient(m, n, rank, rng)
+        fac = svd(M)
+        assert fac.rank() == rank
+        assert np.all(fac.singular_values[rank:] <= 1e-10)
+        k = min(m, n)
+        core = np.zeros((m, n))
+        core[:k, :k] = np.diag(fac.singular_values)
+        refactor = fac.u @ QMatrix.from_real(core) @ fac.v.H - M
+        assert frob(refactor) <= FACTOR_TOL * max(frob(M), 1e-300)
+        for f, d in ((fac.u, m), (fac.v, n)):
+            drift = f.H @ f - QMatrix.identity(d)
+            assert drift.entry_moduli().max() <= UNITARY_TOL
+        null = kernel_basis(M)
+        assert null.shape == (n, n - rank)
+        assert frob(M @ null) <= FACTOR_TOL * max(frob(M), 1e-300)
 
 
 def _power_iteration_norm(M: QMatrix, steps: int = 300) -> float:
@@ -447,6 +481,14 @@ def test_penrose_conditions_all_ranks():
             P = pinv(M)
             scale_m = max(frob(M), 1e-300)
             scale_p = max(frob(P), 1e-300)
+            fac = svd(M)
+            r = fac.rank()
+            ua, ub = fac.u.split
+            va, vb = fac.v.split
+            inv = 1.0 / fac.singular_values[:r]
+            reference = (QMatrix.from_split(va[:, :r] * inv, vb[:, :r] * inv)
+                         @ QMatrix.from_split(ua[:, :r], ub[:, :r]).H)
+            assert frob(P - reference) <= 1e-12 * scale_p
             assert frob(M @ P @ M - M) <= FACTOR_TOL * scale_m
             assert frob(P @ M @ P - P) <= FACTOR_TOL * scale_p
             for proj in (M @ P, P @ M):
@@ -516,7 +558,7 @@ def test_rank_nullity():
     for m, n in ((3, 6), (6, 3), (4, 4)):
         for rank in range(min(m, n)):
             M = random_rank_deficient(m, n, rank, rng)
-            assert matrix_rank(M) == rank
+            assert matrix_rank(M) == rank == svd(M).rank()
             assert kernel_basis(M).shape == (n, n - rank)
 
 
