@@ -88,12 +88,14 @@ def _require_finite(arr: np.ndarray, path: str) -> None:
 
 
 def _dumps(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite value raises ValueError (exit 2)."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
 def _write(path: str, data) -> None:
+    text = _dumps(data)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(data))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +432,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

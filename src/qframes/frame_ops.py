@@ -4,7 +4,9 @@ The synthesis matrix of {L u_i} is L T, so the frame operator of the image
 family is L S L*. A surjective L sends frames to frames; a rank-deficient L
 cannot, because the image family no longer spans. Two frames with the same
 index set are equivalent exactly when their synthesis matrices share a
-kernel, and the connecting operator is recovered as T2 pinv(T1).
+kernel, and the connecting operator is recovered as T2 pinv(T1). Both the
+kernel test and pinv(T1) come from one SVD of the complex embedding of T1,
+whose kernel is the embedded kernel of T1.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from .qlinalg import (
     ORTHONORMAL_TOL,
     QMatrix,
     QVector,
-    kernel_basis,
+    _embedded_svd,
+    complex_adjoint,
     operator_norm,
-    pinv,
     sqrt_psd,
+    unembed_vector,
 )
 
 # A kernel vector of T1 counts as annihilated by T2 when ||T2 k|| stays below
-# KERNEL_RTOL * ||T2|| (kernel basis vectors are unit length).
+# KERNEL_RTOL * ||T2|| (the embedded kernel columns are unit length).
 KERNEL_RTOL = 1e-9
 
 __all__ = ["IntertwinerResult", "EquivalenceResult", "map_frame",
@@ -144,13 +147,16 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     T1 = first.synthesis
     T2 = second.synthesis
     scale2 = operator_norm(T2)
-    null1 = kernel_basis(T1)
-    escaped = np.flatnonzero((T2 @ null1).column_norms()
-                             > KERNEL_RTOL * max(scale2, 1e-300))
+    fac = _embedded_svd(T1, None, full_matrices=True)
+    # The columns of fac.null span the embedded kernel of T1, and chi(T2)
+    # kills all of them exactly when T2 kills ker(T1).
+    escaped = np.flatnonzero(
+        np.linalg.norm(complex_adjoint(T2) @ fac.null, axis=0)
+        > KERNEL_RTOL * max(scale2, 1e-300))
     if escaped.size:
         return IntertwinerResult(operator=None, residual=None,
-                                 witness=null1.column(escaped[0]))
-    L = T2 @ pinv(T1)
+                                 witness=unembed_vector(fac.null[:, escaped[0]]))
+    L = T2 @ fac.pinv()
     residual = float((L @ T1 - T2).column_norms().max(initial=0.0))
     return IntertwinerResult(operator=L, residual=residual, witness=None)
 

@@ -25,6 +25,7 @@ from .qlinalg import (
     HermEig,
     QMatrix,
     QVector,
+    _vector_components,
     herm_eig,
 )
 
@@ -87,17 +88,20 @@ class Frame:
     def __init__(self, vectors: Iterable, dim: int | None = None):
         columns = []
         for i, v in enumerate(vectors):
-            v = v if isinstance(v, QVector) else QVector(v)
+            comps = _vector_components(v)
             if dim is None:
-                dim = len(v)
-            elif len(v) != dim:
-                raise ValueError(f"vector {i} has length {len(v)}, expected {dim}")
-            columns.append(v)
+                dim = len(comps)
+            elif len(comps) != dim:
+                raise ValueError(f"vector {i} has length {len(comps)}, "
+                                 f"expected {dim}")
+            columns.append(comps)
         if dim is None:
             raise ValueError("an empty family needs an explicit dim")
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
-        self._synthesis = QMatrix.from_columns(columns, dim=int(dim))
+        comps = (np.stack(columns, axis=1) if columns
+                 else np.zeros((int(dim), 0, 4)))
+        self._synthesis = QMatrix(comps)
 
     @classmethod
     def from_synthesis(cls, T: QMatrix) -> "Frame":

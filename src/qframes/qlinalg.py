@@ -13,10 +13,11 @@ in the embedded problem. Once that doubling is validated, the LAPACK factors
 of chi(M) are the one spectral representation: matrix functions,
 pseudoinverses and minimal-norm solutions are formed from them and folded
 back to the nearest quaternionic matrix, and ranks read the singular values
-alone. Quaternionic eigenvectors and singular vectors are recovered only on
-request: a simple value takes one embedded column of its pair, a degenerate
-group is orthonormalized inside itself, and two Newton-Schulz steps make the
-columns orthonormal to rounding.
+alone. The kernel of chi(M) is the embedded kernel of M, so a kernel basis
+needs only the null columns of one full SVD. Quaternionic eigenvectors and
+singular vectors are recovered only on request: a simple value takes one
+embedded column of its pair, a degenerate group is orthonormalized inside
+itself, and two Newton-Schulz steps make the columns orthonormal to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,7 +377,13 @@ def adjoint(M: QMatrix) -> QMatrix:
 def complex_adjoint(M: QMatrix) -> np.ndarray:
     """Complex image chi(M), shape (2m, 2n). Multiplicative and *-preserving."""
     A, B = M.split
-    return np.block([[A, B], [-B.conj(), A.conj()]])
+    m, n = A.shape
+    chi = np.empty((2 * m, 2 * n), dtype=complex)
+    chi[:m, :n] = A
+    chi[:m, n:] = B
+    chi[m:, :n] = -B.conj()
+    chi[m:, n:] = A.conj()
+    return chi
 
 
 def embed_vector(u: QVector) -> np.ndarray:
@@ -585,13 +592,34 @@ def _rank_from_sigma(sigma: np.ndarray, m: int, n: int, rtol: float | None) -> i
     return int(np.count_nonzero(sigma > rtol * sigma[0]))
 
 
-def _thin_svd(M: QMatrix, rtol: float | None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (Wl, s, Wr) of chi(M), cut at twice the rank of M."""
-    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M), full_matrices=False)
+class _EmbeddedSvd(NamedTuple):
+    """SVD chi(M) = Wl diag(s) Wr* cut at twice the rank of M.
+
+    null holds the remaining right columns of a full factorization, an
+    orthonormal basis of the kernel of chi(M), which is the embedded kernel
+    of M and closed under the j-partner; it is None for a thin one.
+    """
+
+    Wl: np.ndarray
+    s: np.ndarray
+    Wr: np.ndarray
+    null: np.ndarray | None
+
+    def pinv(self) -> QMatrix:
+        """Moore-Penrose pseudoinverse of M, folded back from that of chi(M)."""
+        return _fold((self.Wr / self.s) @ self.Wl.conj().T)
+
+
+def _embedded_svd(M: QMatrix, rtol: float | None,
+                  full_matrices: bool = False) -> _EmbeddedSvd:
+    """One LAPACK SVD of chi(M); full_matrices adds the embedded kernel."""
+    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M),
+                                     full_matrices=full_matrices)
     sigma = _validate_pairing(doubled, "singular")
     r = 2 * _rank_from_sigma(sigma, *M.shape, rtol)
-    return Wl[:, :r], np.repeat(sigma, 2)[:r], Wrh[:r].conj().T
+    Wr = Wrh.conj().T
+    return _EmbeddedSvd(Wl[:, :r], np.repeat(sigma, 2)[:r], Wr[:, :r],
+                        Wr[:, r:] if full_matrices else None)
 
 
 def svd(M: QMatrix) -> QSvd:
@@ -637,23 +665,23 @@ def matrix_rank(M: QMatrix, rtol: float | None = None) -> int:
 
 def pinv(M: QMatrix, rtol: float | None = None) -> QMatrix:
     """Moore-Penrose pseudoinverse, folded back from that of chi(M)."""
-    Wl, s, Wr = _thin_svd(M, rtol)
-    return _fold((Wr / s) @ Wl.conj().T)
+    return _embedded_svd(M, rtol).pinv()
 
 
 def kernel_basis(M: QMatrix, rtol: float | None = None) -> QMatrix:
-    """Orthonormal basis of the right null space, shape n x (n - rank)."""
-    fac = svd(M)
-    r = fac.rank(rtol)
-    va, vb = fac.v.split
-    return QMatrix.from_split(va[:, r:], vb[:, r:])
+    """Orthonormal basis of the right null space, shape n x (n - rank).
+
+    Only the embedded kernel of chi(M) is recovered, as one group of zeros.
+    """
+    null = _embedded_svd(M, rtol, full_matrices=True).null
+    return _polish(_recover(null, np.zeros(null.shape[1] // 2), 0.0))
 
 
 def solve_min_norm(M: QMatrix, v: QVector, rtol: float | None = None) -> QVector:
     """Minimal-norm solution of M x = v; rejects RHS outside the range."""
     if M.shape[0] != len(v):
         raise ValueError(f"shape mismatch: {M.shape} against length {len(v)}")
-    Wl, s, Wr = _thin_svd(M, rtol)
+    Wl, s, Wr, _ = _embedded_svd(M, rtol)
     z = embed_vector(v)
     coeffs = Wl.conj().T @ z
     resid = float(np.linalg.norm(z - Wl @ coeffs))

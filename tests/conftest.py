@@ -4,7 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import qframes
+import qframes.qlinalg
 
 # The directory holding the qframes package under test, made absolute so a
 # child process finds it from any working directory.
@@ -18,3 +22,27 @@ def run_cli(args, cwd):
         p for p in (SOURCE_DIR, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "qframes.cli", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+@pytest.fixture
+def lapack_svd_calls(monkeypatch):
+    """Record every np.linalg.svd call as "values", "thin" or "full".
+
+    Reaching qframes.qlinalg.svd, which recovers quaternionic singular
+    vectors, fails the test.
+    """
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counting(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append("values" if not compute_uv
+                     else "full" if full_matrices else "thin")
+        return lapack_svd(a, full_matrices=full_matrices,
+                          compute_uv=compute_uv, **kwargs)
+
+    def recovering_svd(M):
+        raise AssertionError("qlinalg.svd was reached")
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(qframes.qlinalg, "svd", recovering_svd)
+    return calls

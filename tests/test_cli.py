@@ -1,10 +1,15 @@
 """End-to-end command line runs through a subprocess."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from conftest import run_cli
+
+import qframes.frames
+from qframes.cli import main
+from qframes.frames import Frame
 
 RECON_TOL = 1e-9
 
@@ -392,3 +397,33 @@ def test_non_object_top_level_exits_2(tmp_path):
 def test_usage_error_exits_2(tmp_path):
     res = run_cli(["frobnicate"], tmp_path)
     assert res.returncode == 2
+
+
+def test_numerical_failure_is_labelled(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, so main must catch it first
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+
+    def failing(M):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(qframes.frames, "herm_eig", failing)
+    assert main(["info", str(tmp_path / "f.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigh did not converge")
+
+
+def test_non_finite_output_is_an_error(tmp_path, monkeypatch, capsys):
+    # a NaN that reaches the output ends in exit 2, never in bare NaN
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    monkeypatch.setattr("qframes.cli.operator_norm", lambda M: math.nan)
+    assert main(["info", str(tmp_path / "f.json"), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "JSON compliant" in err
+
+    monkeypatch.setattr(Frame, "to_dict", lambda self: {
+        "dim": self.dim, "vectors": [[[math.inf, 0.0, 0.0, 0.0]] * self.dim]})
+    out_path = tmp_path / "d.json"
+    assert main(["dual", str(tmp_path / "f.json"), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()

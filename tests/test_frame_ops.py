@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qframes.frame_ops import (
+    KERNEL_RTOL,
     are_equivalent,
     bessel_from_operator,
     frame_with_frame_operator,
@@ -190,6 +191,39 @@ def test_intertwiner_witness_for_incompatible_kernels():
     assert abs(abs(inner(w, expected).modulus()) - 1.0) <= 1e-10
     # and T2 genuinely fails to kill it
     assert (second.synthesis @ w).norm() == pytest.approx(1.0, rel=1e-9)
+
+
+def test_intertwiner_witness_from_a_big_kernel():
+    # ker(T1) has quaternionic dimension 5; the witness is read straight off
+    # the embedded kernel, with no orthonormal basis built
+    rng = np.random.default_rng(58)
+    first, second = random_frame(3, 8, rng), random_frame(3, 8, rng)
+    res = intertwiner(first, second)
+    assert res.operator is None
+    w = res.witness
+    assert abs(w.norm() - 1.0) <= 1e-14
+    assert (first.synthesis @ w).norm() <= 1e-12 * operator_norm(first.synthesis)
+    assert ((second.synthesis @ w).norm()
+            > KERNEL_RTOL * operator_norm(second.synthesis))
+
+
+def test_intertwiner_is_two_lapack_calls(lapack_svd_calls):
+    # the values of T2 give its norm; one full SVD of the embedding of T1
+    # gives the kernel test, the witness and pinv(T1) together
+    rng = np.random.default_rng(59)
+    first, other = random_frame(3, 8, rng), random_frame(3, 8, rng)
+    image = Frame.from_synthesis(random_invertible(3, rng) @ first.synthesis)
+    assert intertwiner(first, image).operator is not None
+    assert sorted(lapack_svd_calls) == ["full", "values"]
+    lapack_svd_calls.clear()
+    assert intertwiner(first, other).witness is not None
+    assert sorted(lapack_svd_calls) == ["full", "values"]
+    lapack_svd_calls.clear()
+    assert are_equivalent(first, image).relation == "equivalent"
+    assert sorted(lapack_svd_calls) == ["full", "full", "values", "values"]
+    lapack_svd_calls.clear()
+    assert are_equivalent(first, other).relation == "none"
+    assert sorted(lapack_svd_calls) == ["full", "values"]
 
 
 def test_intertwiner_requires_matching_counts():

@@ -91,6 +91,14 @@ def test_synthesis_columns_are_the_vectors():
             (fr[k] for k in range(5)), fr, fr.vectors, T.columns(), strict=True):
         for v in (by_index, by_iter, held):
             assert np.array_equal(v.components, col.components)
+    # Frame(vectors) stacks the components once; T equals the column stack of
+    # the parsed vectors, for every accepted form of a vector
+    comps = T.components.transpose(1, 0, 2)
+    quats = [[T[i, k] for i in range(3)] for k in range(5)]
+    for vectors in (T.columns(), comps, comps.tolist(), quats):
+        ref = QMatrix.from_columns([QVector(v) for v in vectors])
+        for got, want in zip(Frame(vectors).synthesis.split, ref.split):
+            assert np.array_equal(got, want)
 
 
 def test_analysis_reads_inner_products():

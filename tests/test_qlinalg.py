@@ -204,6 +204,9 @@ def test_embedding_is_star_homomorphism():
 def test_embedding_intertwines_vectors():
     rng = np.random.default_rng(42)
     M = random_matrix(4, 3, rng)
+    A, B = M.split
+    assert np.array_equal(complex_adjoint(M),
+                          np.block([[A, B], [-B.conj(), A.conj()]]))
     u = random_vector(3, rng)
     gap = complex_adjoint(M) @ embed_vector(u) - embed_vector(M @ u)
     assert np.linalg.norm(gap) <= 1e-12 * (operator_norm(M) * u.norm())
@@ -555,11 +558,23 @@ def test_kernel_of_row():
 
 def test_rank_nullity():
     rng = np.random.default_rng(91)
-    for m, n in ((3, 6), (6, 3), (4, 4)):
+    for m, n in ((3, 6), (6, 3), (4, 4), (12, 36)):
         for rank in range(min(m, n)):
             M = random_rank_deficient(m, n, rank, rng)
             assert matrix_rank(M) == rank == svd(M).rank()
-            assert kernel_basis(M).shape == (n, n - rank)
+            null = kernel_basis(M)
+            assert null.shape == (n, n - rank)
+            drift = null.H @ null - QMatrix.identity(n - rank)
+            assert drift.entry_moduli().max(initial=0.0) <= UNITARY_TOL
+            assert frob(M @ null) <= FACTOR_TOL * max(frob(M), 1e-300)
+
+
+def test_kernel_basis_is_one_lapack_call(lapack_svd_calls):
+    # the kernel is read from one full SVD of the embedding; neither the
+    # left factor nor the paired right vectors are recovered
+    M = random_rank_deficient(4, 9, 2, np.random.default_rng(92))
+    assert kernel_basis(M).shape == (9, 7)
+    assert lapack_svd_calls == ["full"]
 
 
 def test_surjective_and_bounded_below():
