@@ -4,9 +4,15 @@ The synthesis matrix of {L u_i} is L T, so the frame operator of the image
 family is L S L*. A surjective L sends frames to frames; a rank-deficient L
 cannot, because the image family no longer spans. Two frames with the same
 index set are equivalent exactly when their synthesis matrices share a
-kernel, and the connecting operator is recovered as T2 pinv(T1). Both the
-kernel test and pinv(T1) come from one SVD of the complex embedding of T1,
-whose kernel is the embedded kernel of T1.
+kernel, and the connecting operator is recovered as T2 pinv(T1).
+
+Every test reads the thin SVD of the embedding that each Frame caches
+(Frame._factors). Its right factor Wr spans the row space of chi(T1), so
+I - Wr Wr* projects onto the embedded kernel of T1, and T2 annihilates
+ker(T1) exactly when the rows of chi(T2) projected that way vanish. The
+same factors give pinv(T1), and the largest singular value of T2 is the
+scale the rows are measured against. A frame is factored once, whichever
+pair and direction it takes part in.
 """
 
 from __future__ import annotations
@@ -20,15 +26,13 @@ from .qlinalg import (
     ORTHONORMAL_TOL,
     QMatrix,
     QVector,
-    _embedded_svd,
     complex_adjoint,
-    operator_norm,
     sqrt_psd,
     unembed_vector,
 )
 
-# A kernel vector of T1 counts as annihilated by T2 when ||T2 k|| stays below
-# KERNEL_RTOL * ||T2|| (the embedded kernel columns are unit length).
+# T2 counts as annihilating ker(T1) when, for every row i, the largest
+# |(T2 x)_i| over unit vectors x of ker(T1) stays within KERNEL_RTOL * ||T2||.
 KERNEL_RTOL = 1e-9
 
 __all__ = ["IntertwinerResult", "EquivalenceResult", "map_frame",
@@ -41,10 +45,13 @@ __all__ = ["IntertwinerResult", "EquivalenceResult", "map_frame",
 class IntertwinerResult:
     """Outcome of looking for L with L u_i = v_i for all i.
 
-    Such an L exists exactly when ker(T1) is contained in ker(T2). When it
-    does, `operator` holds T2 pinv(T1) and `residual` the worst per-vector
-    error max_i ||L u_i - v_i||. When it does not, `witness` holds a unit
-    kernel vector of T1 that T2 fails to annihilate.
+    Such an L exists exactly when ker(T1) is contained in ker(T2), decided
+    row by row: the inclusion fails when some entry (T2 x)_i exceeds
+    KERNEL_RTOL * ||T2|| in modulus for a unit x in ker(T1). When it holds,
+    `operator` holds T2 pinv(T1) and `residual` the worst per-vector error
+    max_i ||L u_i - v_i||. When it does not, `witness` holds a unit kernel
+    vector of T1 that T2 fails to annihilate: the one that makes an entry
+    of T2 x largest.
     """
 
     operator: QMatrix | None
@@ -139,24 +146,40 @@ def project_frame(basis: QMatrix, frame: Frame) -> tuple[Frame, FrameBounds]:
     return compressed, compressed.optimal_bounds()
 
 
+def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
+    """A unit vector of ker(T1) that T2 fails to annihilate, or None.
+
+    Row i of R, the top rows of chi(T2) projected onto the embedded kernel of
+    T1, has norm max |(T2 x)_i| over unit x in ker(T1); the bottom rows are
+    their j-partners and add nothing. The witness is the largest row, taken
+    back to H^m: T2 sends it to an entry of modulus that row norm.
+    """
+    Wr = first._factors.Wr
+    top = complex_adjoint(second.synthesis)[:second.dim]
+    R = top - (top @ Wr) @ Wr.conj().T
+    norms = np.linalg.norm(R, axis=1)
+    s = second._factors.s
+    norm2 = float(s[0]) if len(s) else 0.0
+    i = int(np.argmax(norms))
+    if norms[i] <= KERNEL_RTOL * max(norm2, 1e-300):
+        return None
+    # One more projection keeps the witness in ker(T1) to rounding when the
+    # row is small against its unprojected length.
+    z = R[i].conj()
+    z -= Wr @ (Wr.conj().T @ z)
+    return unembed_vector(z / np.linalg.norm(z))
+
+
 def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     """Look for the operator sending the first family to the second, index-wise."""
     if first.count != second.count:
         raise ValueError(f"families must share an index set: "
                          f"{first.count} vs {second.count} vectors")
-    T1 = first.synthesis
-    T2 = second.synthesis
-    scale2 = operator_norm(T2)
-    fac = _embedded_svd(T1, None, full_matrices=True)
-    # The columns of fac.null span the embedded kernel of T1, and chi(T2)
-    # kills all of them exactly when T2 kills ker(T1).
-    escaped = np.flatnonzero(
-        np.linalg.norm(complex_adjoint(T2) @ fac.null, axis=0)
-        > KERNEL_RTOL * max(scale2, 1e-300))
-    if escaped.size:
-        return IntertwinerResult(operator=None, residual=None,
-                                 witness=unembed_vector(fac.null[:, escaped[0]]))
-    L = T2 @ fac.pinv()
+    witness = _kernel_escape(first, second)
+    if witness is not None:
+        return IntertwinerResult(operator=None, residual=None, witness=witness)
+    T1, T2 = first.synthesis, second.synthesis
+    L = T2 @ first._factors.pinv()
     residual = float((L @ T1 - T2).column_norms().max(initial=0.0))
     return IntertwinerResult(operator=L, residual=residual, witness=None)
 
@@ -166,21 +189,17 @@ def are_equivalent(first: Frame, second: Frame) -> EquivalenceResult:
 
     Equivalent families are connected by an invertible operator; the returned
     intertwiner maps the first onto the second in both the equivalent and the
-    one-sided case.
+    one-sided case. The backward direction is the kernel test alone.
     """
     forward = intertwiner(first, second)
     if forward.operator is None:
         return EquivalenceResult(relation="none", intertwiner=None,
                                  residual=None, witness=forward.witness)
-    backward = intertwiner(second, first)
-    if backward.operator is None:
-        return EquivalenceResult(relation="one-sided",
-                                 intertwiner=forward.operator,
-                                 residual=forward.residual,
-                                 witness=backward.witness)
-    return EquivalenceResult(relation="equivalent",
-                             intertwiner=forward.operator,
-                             residual=forward.residual, witness=None)
+    witness = _kernel_escape(second, first)
+    return EquivalenceResult(
+        relation="equivalent" if witness is None else "one-sided",
+        intertwiner=forward.operator, residual=forward.residual,
+        witness=witness)
 
 
 def frame_with_frame_operator(L: QMatrix) -> Frame:

@@ -25,6 +25,8 @@ from .qlinalg import (
     HermEig,
     QMatrix,
     QVector,
+    _EmbeddedSvd,
+    _embedded_svd,
     _vector_components,
     herm_eig,
 )
@@ -157,6 +159,11 @@ class Frame:
     def _spectral(self) -> HermEig:
         return herm_eig(self.frame_operator)
 
+    @cached_property
+    def _factors(self) -> _EmbeddedSvd:
+        """Thin SVD of the embedding of T, cut at twice the rank of T."""
+        return _embedded_svd(self.synthesis, None)
+
     @property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the frame operator, descending."""
@@ -238,11 +245,19 @@ class Frame:
     # -- derived frames ---------------------------------------------------
 
     def canonical_dual(self) -> "Frame":
-        """The frame {S^-1 u_i}; its bounds are (1/B, 1/A)."""
-        return Frame.from_synthesis(self._inverse_operator @ self.synthesis)
+        """The frame {S^-1 u_i}, computed once; its bounds are (1/B, 1/A)."""
+        return self._dual
 
     def parseval_normalize(self) -> "Frame":
-        """The Parseval frame {S^(-1/2) u_i} with frame operator I."""
+        """The Parseval frame {S^(-1/2) u_i}, computed once; S becomes I."""
+        return self._parseval
+
+    @cached_property
+    def _dual(self) -> "Frame":
+        return Frame.from_synthesis(self._inverse_operator @ self.synthesis)
+
+    @cached_property
+    def _parseval(self) -> "Frame":
         return Frame.from_synthesis(self._inv_sqrt_operator @ self.synthesis)
 
     def coefficient_transport(self, R: QMatrix) -> QMatrix:
@@ -255,8 +270,7 @@ class Frame:
         if R.shape != (self.dim, self.dim):
             raise ValueError(f"expected an operator on H^{self.dim}, "
                              f"got shape {R.shape}")
-        dual_synthesis = self._inverse_operator @ self.synthesis
-        return dual_synthesis.H @ (R @ self.synthesis)
+        return self._dual.synthesis.H @ (R @ self.synthesis)
 
     # -- reporting and serialization --------------------------------------
 

@@ -32,7 +32,7 @@ import numpy as np
 from .quaternion import Quaternion
 
 # Tolerances. Relative to the scale of the input unless stated otherwise.
-PAIR_TOL = 1e-8          # validation width for the doubled complex spectrum
+PAIR_TOL = 1e-8          # doubled-spectrum pairing width, relative to its max
 CLUSTER_TOL = 1e-10      # grouping width for joint eigenvector recovery
 HERMITIAN_TOL = 1e-10    # entrywise Hermiticity check, relative to max entry
 ORTHONORMAL_TOL = 1e-10  # entrywise check for orthonormal-column inputs
@@ -76,9 +76,11 @@ def _vector_components(entries, where: str = "entry") -> np.ndarray:
 
 
 def _split_from_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = comps[..., 0] + 1j * comps[..., 1]
-    b = comps[..., 2] + 1j * comps[..., 3]
-    return a, b
+    # Each pair of real components is read as one complex number in place, so
+    # every bit (the sign of a zero included) survives; the halves are copied
+    # so they never alias the caller's array.
+    z = np.ascontiguousarray(comps, dtype=float).view(complex)
+    return z[..., 0].copy(), z[..., 1].copy()
 
 
 def _components_from_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,7 +420,8 @@ def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
 
 def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
     even, odd = doubled[0::2], doubled[1::2]
-    widths = PAIR_TOL * (1.0 + np.abs(0.5 * (even + odd)))
+    scale = np.abs(doubled).max(initial=0.0)
+    widths = PAIR_TOL * (scale + np.abs(0.5 * (even + odd)))
     bad = np.abs(even - odd) > widths
     if np.any(bad):
         t = int(np.argmax(bad))

@@ -14,7 +14,14 @@ from qframes.frame_ops import (
     unitary_invariance_check,
 )
 from qframes.frames import Frame
-from qframes.qlinalg import QMatrix, QVector, inner, matrix_rank, operator_norm
+from qframes.qlinalg import (
+    QMatrix,
+    QVector,
+    inner,
+    kernel_basis,
+    matrix_rank,
+    operator_norm,
+)
 from qframes.quaternion import I, J, K, Quaternion
 from qframes.sampling import (
     random_frame,
@@ -194,36 +201,69 @@ def test_intertwiner_witness_for_incompatible_kernels():
 
 
 def test_intertwiner_witness_from_a_big_kernel():
-    # ker(T1) has quaternionic dimension 5; the witness is read straight off
-    # the embedded kernel, with no orthonormal basis built
+    # ker(T1) has quaternionic dimension 5, then 57; the witness is the
+    # largest row of T2 projected onto the embedded kernel, with no
+    # orthonormal basis built
     rng = np.random.default_rng(58)
-    first, second = random_frame(3, 8, rng), random_frame(3, 8, rng)
-    res = intertwiner(first, second)
-    assert res.operator is None
-    w = res.witness
-    assert abs(w.norm() - 1.0) <= 1e-14
-    assert (first.synthesis @ w).norm() <= 1e-12 * operator_norm(first.synthesis)
-    assert ((second.synthesis @ w).norm()
-            > KERNEL_RTOL * operator_norm(second.synthesis))
+    for n, m in ((3, 8), (3, 60)):
+        first, second = random_frame(n, m, rng), random_frame(n, m, rng)
+        res = intertwiner(first, second)
+        assert res.operator is None
+        w = res.witness
+        assert abs(w.norm() - 1.0) <= 1e-14
+        assert ((first.synthesis @ w).norm()
+                <= 1e-12 * operator_norm(first.synthesis))
+        assert ((second.synthesis @ w).norm()
+                > KERNEL_RTOL * operator_norm(second.synthesis))
+
+
+def test_intertwiner_witness_near_the_threshold():
+    # T2 = L T1 + E with E supported on ker(T1) and just above the kernel
+    # threshold: the escaping row is tiny against its unprojected length, and
+    # the witness must still lie in ker(T1) to rounding
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        T1 = random_frame(6, 30, rng).synthesis
+        T2 = random_invertible(6, rng) @ T1
+        E = random_matrix(6, 24, rng) @ kernel_basis(T1).H
+        T2 = T2 + E * (3e-9 * operator_norm(T2) / operator_norm(E))
+        F1, F2 = Frame.from_synthesis(T1), Frame.from_synthesis(T2)
+        w = intertwiner(F1, F2).witness
+        assert abs(w.norm() - 1.0) <= 1e-14
+        assert (T1 @ w).norm() <= 1e-13 * operator_norm(T1)
+        assert (T2 @ w).norm() > KERNEL_RTOL * operator_norm(T2)
 
 
 def test_intertwiner_is_two_lapack_calls(lapack_svd_calls):
-    # the values of T2 give its norm; one full SVD of the embedding of T1
-    # gives the kernel test, the witness and pinv(T1) together
+    # each frame is factored once, by one thin SVD of its embedding: the
+    # kernel test, the witness, ||T2|| and pinv(T1) all read those factors
     rng = np.random.default_rng(59)
-    first, other = random_frame(3, 8, rng), random_frame(3, 8, rng)
-    image = Frame.from_synthesis(random_invertible(3, rng) @ first.synthesis)
+    T1 = random_frame(3, 8, rng).synthesis
+    T2 = random_frame(3, 8, rng).synthesis
+    L = random_invertible(3, rng)
+
+    def fresh():
+        return (Frame.from_synthesis(T1), Frame.from_synthesis(L @ T1),
+                Frame.from_synthesis(T2))
+
+    first, image, other = fresh()
     assert intertwiner(first, image).operator is not None
-    assert sorted(lapack_svd_calls) == ["full", "values"]
+    assert lapack_svd_calls == ["thin", "thin"]
     lapack_svd_calls.clear()
+    first, image, other = fresh()
     assert intertwiner(first, other).witness is not None
-    assert sorted(lapack_svd_calls) == ["full", "values"]
+    assert lapack_svd_calls == ["thin", "thin"]
     lapack_svd_calls.clear()
+    first, image, other = fresh()
     assert are_equivalent(first, image).relation == "equivalent"
-    assert sorted(lapack_svd_calls) == ["full", "full", "values", "values"]
-    lapack_svd_calls.clear()
+    assert lapack_svd_calls == ["thin", "thin"]
+    # a second pair sharing the first frame factors only the new frame
     assert are_equivalent(first, other).relation == "none"
-    assert sorted(lapack_svd_calls) == ["full", "values"]
+    assert lapack_svd_calls == ["thin", "thin", "thin"]
+    lapack_svd_calls.clear()
+    first, image, other = fresh()
+    assert are_equivalent(first, other).relation == "none"
+    assert lapack_svd_calls == ["thin", "thin"]
 
 
 def test_intertwiner_requires_matching_counts():
@@ -307,6 +347,26 @@ def test_equivalence_transitive():
     assert are_equivalent(fr, g).relation == "equivalent"
     assert are_equivalent(g, h).relation == "equivalent"
     assert are_equivalent(fr, h).relation == "equivalent"
+
+
+def test_equivalence_relation_is_scale_invariant():
+    # scaling either frame by 2^k leaves every relation as it is, also for a
+    # rank-deficient frame whose noise singular values scale with it
+    rng = np.random.default_rng(61)
+    F = Frame.from_synthesis
+    for n, m in ((3, 8), (12, 36)):
+        T = random_frame(n, m, rng).synthesis
+        pairs = {
+            "equivalent": (T, random_invertible(n, rng) @ T),
+            "one-sided": (T, random_rank_deficient(n, n, 1, rng) @ T),
+            "none": (T, random_frame(n, m, rng).synthesis),
+        }
+        for relation, (T1, T2) in pairs.items():
+            assert are_equivalent(F(T1), F(T2)).relation == relation
+            for k in (-500, -200, 200, 500):
+                c = 2.0 ** k
+                assert are_equivalent(F(T1 * c), F(T2)).relation == relation
+                assert are_equivalent(F(T1), F(T2 * c)).relation == relation
 
 
 def test_equivalence_to_dict_optional_keys():

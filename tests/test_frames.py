@@ -1,5 +1,7 @@
 """Frame calculus: bounds, coefficients, duals, Parseval form, transport."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,20 @@ def test_parseval_frame_is_fixed_by_normalization():
     assert gap <= 1e-9 * tight.synthesis.frobenius_norm()
 
 
+def test_derived_frames_are_computed_once():
+    rng = np.random.default_rng(44)
+    fr = random_frame(3, 7, rng)
+    fr.report()  # reads the Parseval frame for its residual
+    tight = fr.parseval_normalize()
+    dual = fr.canonical_dual()
+    assert fr.parseval_normalize() is tight
+    assert fr.canonical_dual() is dual
+    assert np.array_equal(tight.synthesis.components,
+                          (fr._inv_sqrt_operator @ fr.synthesis).components)
+    assert np.array_equal(dual.synthesis.components,
+                          (fr._inverse_operator @ fr.synthesis).components)
+
+
 # ---------------------------------------------------------------------------
 # coefficient transport
 
@@ -499,3 +515,9 @@ def test_serialized_floats_are_exact():
     fr = random_frame(2, 5, rng)
     data = fr.to_dict()
     assert data["vectors"][0][0][0] == fr[0][0].a0
+    # a zero keeps its sign on the way out
+    data = Frame([-e(2, 0)]).to_dict()
+    assert data["vectors"] == [[[-1.0, -0.0, -0.0, -0.0],
+                                [-0.0, -0.0, -0.0, -0.0]]]
+    assert np.all(np.signbit(np.asarray(data["vectors"])))
+    assert json.dumps(data).count("-0.0") == 7

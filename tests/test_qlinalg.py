@@ -7,6 +7,7 @@ from qframes.quaternion import I, J, K, ONE, Quaternion
 from qframes.qlinalg import (
     QMatrix,
     QVector,
+    _validate_pairing,
     complex_adjoint,
     embed_vector,
     herm_eig,
@@ -312,6 +313,18 @@ def test_herm_eig_doubling_visible_in_embedding():
     M = random_hermitian(4, rng)
     w = np.linalg.eigvalsh(complex_adjoint(M))
     assert np.all(np.abs(w[0::2] - w[1::2]) <= 1e-8 * (1 + np.abs(w[0::2])))
+
+
+def test_pairing_width_is_relative_to_the_spectrum():
+    # an unpaired spectrum is caught at any scale, and the noise values of a
+    # rank-deficient matrix, which scale with its largest value, still pair
+    unpaired = np.array([3.0, 3.0, 2.0, 1.0])
+    paired_noise = np.array([1.0, 1.0, 3e-16, 1e-16])
+    for scale in (1e-200, 1.0, 2.0 ** 500):
+        with pytest.raises(np.linalg.LinAlgError, match="at position 2"):
+            _validate_pairing(unpaired * scale, "singular")
+        assert np.allclose(_validate_pairing(paired_noise * scale, "singular"),
+                           [scale, 2e-16 * scale], rtol=1e-15, atol=0)
 
 
 def test_herm_eig_rejects_non_hermitian():
@@ -642,6 +655,27 @@ def test_vector_entry_parsing():
     assert u[1] == I
     assert u[2] == J
     assert QVector(u.components)[2] == J
+
+
+def test_components_round_trip_bitwise():
+    # the split is read from the components in place, so every bit, the
+    # sign of a zero included, survives the round trip
+    rng = np.random.default_rng(44)
+    comps = rng.standard_normal((5, 4))
+    comps[::2] = -0.0
+    comps[1, 1] = comps[3, 3] = 0.0
+    v = QVector(comps)
+    for u in (v, -v, -e(3, 1)):
+        back = QVector(u.components)
+        for got, want in zip(back.split, u.split):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    # the halves are copies: editing the source array later changes nothing
+    src = np.array([[1.0, 2.0, 3.0, 4.0]])
+    u = QVector(src)
+    src[0, 0] = 9.0
+    assert u[0] == Quaternion(1, 2, 3, 4)
 
 
 def test_matrix_tolist_round_trip():
