@@ -2,9 +2,16 @@
 
 Frames, operators, and vectors travel as JSON with quaternion entries spelled
 as four real components [a0, a1, a2, a3]. Artifacts are written with --out;
---json switches the stdout report from a human table to machine JSON. Exit
-codes: 0 success, 1 failed verification (the check suite), 2 usage or
-malformed input.
+--json switches the stdout report from a human table to machine JSON. Every
+JSON output is byte for byte json.dumps(indent=2, allow_nan=False) plus a
+newline: _dumps writes rectangular nests of floats, the bulk of a frame file,
+in one pass, and hands every other value to json. Exit codes: 0 success,
+1 failed verification (the check suite), 2 usage or malformed input,
+including an entry that is not a number.
+
+Each call is one process, so import cost is paid per call: the modules that
+only some commands use (frame_ops, checks, sampling) are imported inside
+those commands.
 """
 
 from __future__ import annotations
@@ -13,14 +20,13 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
-from .checks import DEFAULT_SIZES, run_checks
-from .frames import Frame
-from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
+from .frames import DEFAULT_SIZES, Frame, _real_array
 from .qlinalg import QMatrix, QVector, operator_norm, pinv
-from .sampling import random_frame
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +64,7 @@ def load_operator(path: str) -> QMatrix:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f'{path}: "{key}" must be a positive integer, '
                              f'got {value!r}')
-    arr = np.asarray(data["entries"], dtype=float)
+    arr = _real_array(data["entries"], path)
     if arr.shape != (rows, cols, 4):
         raise ValueError(f"{path}: entries have shape {arr.shape}, expected "
                          f"({rows}, {cols}, 4)")
@@ -70,7 +76,7 @@ def load_vector(path: str) -> QVector:
     data = _load_json(path)
     if "entries" not in data:
         raise ValueError(f'{path}: vector data must carry "entries"')
-    arr = np.asarray(data["entries"], dtype=float)
+    arr = _real_array(data["entries"], path)
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
         raise ValueError(f"{path}: entries have shape {arr.shape}, expected "
                          f"(n, 4) with n >= 1")
@@ -88,8 +94,68 @@ def _require_finite(arr: np.ndarray, path: str) -> None:
 
 
 def _dumps(data) -> str:
-    """Strict JSON: a NaN or infinite value raises ValueError (exit 2)."""
-    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    """json.dumps(data, indent=2, allow_nan=False) + "\\n", byte for byte.
+
+    Strict JSON: a NaN or infinite value raises ValueError (exit 2).
+    """
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(obj, nl: str) -> str:
+    """obj as indented JSON whose line breaks are nl (newline plus indent)."""
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = (f"{_encode_str(key)}: {_encode(value, inner)}"
+                 for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(obj) is list:
+        found = _float_block(obj)
+        if found is not None:
+            return _write_block(*found, nl)
+    # JSON strings escape their newlines, so every newline here is layout
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
+
+
+def _float_block(obj: list) -> tuple[list, tuple[int, ...]] | None:
+    """(flat floats, shape) if obj is a rectangular nest of non-empty lists
+    of Python floats, the shape of Frame.to_dict() and .tolist(); else None."""
+    shape = []
+    flat = [obj]
+    while type(flat[0]) is list:
+        n = len(flat[0])
+        if n == 0 or set(map(type, flat)) != {list} or set(map(len, flat)) != {n}:
+            return None
+        shape.append(n)
+        flat = list(chain.from_iterable(flat))
+    if set(map(type, flat)) != {float}:
+        return None
+    return flat, tuple(shape)
+
+
+def _write_block(flat: list, shape: tuple[int, ...], nl: str) -> str:
+    """The indented JSON of a float nest: reprs interleaved with separators."""
+    if not all(map(math.isfinite, flat)):
+        bad = next(x for x in flat if not math.isfinite(x))
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(bad))
+    d = len(shape)
+    pad = [nl + "  " * t for t in range(d + 1)]
+    # sep[j] follows an entry after which the innermost j lists close
+    sep = ["".join(pad[t] + "]" for t in range(d - 1, d - j - 1, -1)) + ","
+           + "".join(pad[t] + "[" for t in range(d - j, d)) + pad[d]
+           for j in range(d)]
+    seps = [sep[0]] * (shape[-1] - 1)
+    for j, n in enumerate(reversed(shape[:-1]), start=1):
+        seps = (seps + [sep[j]]) * n
+        seps.pop()
+    parts = [None] * (2 * len(flat) + 1)
+    parts[0] = "[" + "".join(pad[t] + "[" for t in range(1, d)) + pad[d]
+    parts[1::2] = map(float.__repr__, flat)
+    seps.append("".join(pad[t] + "]" for t in range(d - 1, -1, -1)))
+    parts[2::2] = seps
+    return "".join(parts)
 
 
 def _write(path: str, data) -> None:
@@ -133,6 +199,7 @@ def _bounds_lines(report: dict) -> list[str]:
 
 def cmd_gen(args) -> int:
     if args.kind == "with-operator":
+        from .frame_ops import frame_with_frame_operator
         if not args.operator:
             raise ValueError("gen --kind with-operator needs --operator FILE")
         L = load_operator(args.operator)
@@ -152,6 +219,7 @@ def cmd_gen(args) -> int:
         if not 1 <= args.dim <= args.count:
             raise ValueError(f"need 1 <= dim <= count, got dim={args.dim} "
                              f"count={args.count}")
+        from .sampling import random_frame
         rng = np.random.default_rng(args.seed)
         frame = random_frame(args.dim, args.count, rng)
         if args.kind == "parseval":
@@ -267,6 +335,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from .frame_ops import map_frame
     frame = load_frame(args.frame)
     L = load_operator(args.operator)
     image, report = map_frame(L, frame)
@@ -282,6 +351,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    from .frame_ops import are_equivalent
     first = load_frame(args.frame1)
     second = load_frame(args.frame2)
     verdict = are_equivalent(first, second)
@@ -296,6 +366,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_checks
     sizes = _parse_sizes(args.sizes) if args.sizes else None
     report = run_checks(seed=args.seed, sizes=sizes, tolerance=args.tol)
     lines = []

@@ -37,8 +37,23 @@ FRAME_RTOL = 1e-10
 # A claimed representation sum u_i q_i = u must hold within this relative slack.
 REPRESENTATION_RTOL = 1e-8
 
+# The (dim, count) sizes the verification suite samples frames at by default.
+# Defined here rather than in checks so that `qframes check --help` can show
+# them without importing the suite.
+DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 6), (3, 8), (4, 10))
+
 __all__ = ["Frame", "FrameBounds", "FrameReport", "PythagorasCheck",
            "FRAME_RTOL", "REPRESENTATION_RTOL"]
+
+
+def _real_array(entries, where: str) -> np.ndarray:
+    """entries read from a file as a float array; an entry that is not a
+    number, or lists of uneven length, raise a ValueError naming where."""
+    try:
+        return np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: entries must be numbers in lists of equal "
+                         f"length ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -312,9 +327,18 @@ class Frame:
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')
+        # One conversion and one check for a well-formed file; anything else
+        # goes vector by vector below, which names the first bad vector.
+        try:
+            comps = np.asarray(vectors, dtype=float)
+        except (TypeError, ValueError):
+            comps = None
+        if (comps is not None and comps.shape == (len(vectors), dim, 4)
+                and np.isfinite(comps).all()):
+            return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))
         columns = []
         for i, entries in enumerate(vectors):
-            arr = np.asarray(entries, dtype=float)
+            arr = _real_array(entries, f"vector {i}")
             if arr.shape != (dim, 4):
                 raise ValueError(f"vector {i}: expected {dim} entries of 4 "
                                  f"components, got shape {arr.shape}")

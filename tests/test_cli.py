@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 from conftest import run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qframes.frames
-from qframes.cli import main
+from qframes.cli import _dumps, main
 from qframes.frames import Frame
 
 RECON_TOL = 1e-9
@@ -381,6 +383,44 @@ def test_non_finite_operator_and_vector_entries_exit_2(tmp_path):
     assert "u.json: entry (1) has a non-finite component" in res.stderr
 
 
+# entries that are not numbers: a JSON object, lists of uneven length, a string
+BAD_ENTRIES = [{"a": 1}, [[1, 0, 0, 0], [0, 1]], "abc"]
+BAD_IDS = ["object", "ragged", "string"]
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=BAD_IDS)
+def test_frame_file_entry_errors_name_the_vector(tmp_path, bad):
+    frame = basis_frame(2, [0, 1])
+    frame["vectors"][1] = bad
+    write_json(tmp_path / "f.json", frame)
+    res = run_cli(["info", "f.json"], tmp_path)
+    assert res.returncode == 2
+    assert "f.json: vector 1: entries must be numbers" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=BAD_IDS)
+def test_operator_file_entry_errors_name_the_file(tmp_path, bad):
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    op = diag_operator([1.0, 2.0])
+    op["entries"][1] = bad
+    write_json(tmp_path / "op.json", op)
+    res = run_cli(["map", "f.json", "op.json"], tmp_path)
+    assert res.returncode == 2
+    assert "op.json: entries must be numbers" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=BAD_IDS)
+def test_vector_file_entry_errors_name_the_file(tmp_path, bad):
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    write_json(tmp_path / "u.json", {"entries": [[1.0, 0.0, 0.0, 0.0], bad]})
+    res = run_cli(["coeffs", "f.json", "u.json"], tmp_path)
+    assert res.returncode == 2
+    assert "u.json: entries must be numbers" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_non_object_top_level_exits_2(tmp_path):
     run_cli(["gen", "-n", "2", "-m", "4", "--seed", "1", "--out", "f.json"],
             tmp_path)
@@ -427,3 +467,65 @@ def test_non_finite_output_is_an_error(tmp_path, monkeypatch, capsys):
     assert main(["dual", str(tmp_path / "f.json"), "--out", str(out_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer equals json.dumps(indent=2, allow_nan=False)
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308])
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+leaves = (finite_floats | st.integers() | st.booleans() | st.none()
+          | st.text())
+
+
+@st.composite
+def rectangular(draw, elements=finite_floats):
+    """A rectangular nest of lists up to depth 4; a zero extent gives []."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+
+    def build(dims):
+        if not dims:
+            return draw(elements)
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    return build(shape)
+
+
+blocks = rectangular() | rectangular(finite_floats | st.integers())
+odd_keys = st.integers() | st.booleans() | st.none() | finite_floats
+trees = st.recursive(
+    leaves | blocks,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(), kids, max_size=4)
+                  | st.dictionaries(odd_keys, kids, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_dumps_equals_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, allow_nan=False) + "\n"
+
+
+@st.composite
+def trees_with_non_finite(draw):
+    block = draw(rectangular())
+    flat = block
+    while isinstance(flat, list) and flat and isinstance(flat[0], list):
+        flat = flat[draw(st.integers(0, len(flat) - 1))]
+    bad = draw(non_finite)
+    if isinstance(flat, list) and flat:
+        flat[draw(st.integers(0, len(flat) - 1))] = bad
+    else:
+        block = bad
+    return draw(st.sampled_from([
+        block, [draw(trees), block], {"ok": draw(trees), "bad": block},
+        {1: block}]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_with_non_finite())
+def test_dumps_rejects_non_finite_values(tree):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _dumps(tree)

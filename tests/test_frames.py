@@ -510,6 +510,50 @@ def test_from_dict_rejects_bad_payloads():
                                                    [[0, bad, 0, 0]]]})
 
 
+def per_vector_synthesis(data: dict) -> np.ndarray:
+    """Reference for Frame.from_dict: convert, check and stack one vector at
+    a time; returns the (dim, count, 4) components of T or raises."""
+    dim = data["dim"]
+    columns = []
+    for i, entries in enumerate(data["vectors"]):
+        arr = np.asarray(entries, dtype=float)
+        if arr.shape != (dim, 4):
+            raise ValueError(f"vector {i}: expected {dim} entries of 4 "
+                             f"components, got shape {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vector {i}, entry {bad[0]}: components must "
+                             f"be finite, got {arr[bad[0]].tolist()}")
+        columns.append(arr)
+    return np.stack(columns, axis=1) if columns else np.zeros((dim, 0, 4))
+
+
+def test_from_dict_matches_the_per_vector_path():
+    rng = np.random.default_rng(49)
+    vectors = rng.standard_normal((7, 3, 4)).tolist()
+    vectors[2][1] = [-0.0, 0, 5e-324, 1]     # a signed zero, ints, a subnormal
+    for data in ({"dim": 3, "vectors": vectors}, {"dim": 3, "vectors": []}):
+        got = Frame.from_dict(data).synthesis.components
+        want = per_vector_synthesis(data)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vectors", [
+    [[[1, 0, 0, 0]] * 2] * 3,                                    # wrong dim
+    [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 3],  # short
+    [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0], [0, np.inf, 0, 0], [1, 0, 0, 0]]],
+    [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 2, [[0, np.nan, 0, 0]] * 3],
+], ids=["wrong-dim", "short-vector", "non-finite", "two-bad-vectors"])
+def test_from_dict_errors_match_the_per_vector_path(vectors):
+    data = {"dim": 3, "vectors": vectors}
+    with pytest.raises(ValueError) as want:
+        per_vector_synthesis(data)
+    with pytest.raises(ValueError) as got:
+        Frame.from_dict(data)
+    assert str(got.value) == str(want.value)
+
+
 def test_serialized_floats_are_exact():
     rng = np.random.default_rng(47)
     fr = random_frame(2, 5, rng)
