@@ -3,13 +3,7 @@
 Right-module conventions throughout: operators act by left multiplication,
 scalars multiply vectors on the right, and the inner product is conjugate
 linear in its first slot.
-
-The operator layer (frame_ops) and the verification suite (checks) load on
-first use of one of their names (PEP 562), so `import qframes` and the
-command line pay only for the modules they touch.
 """
-
-import importlib
 
 from .quaternion import Quaternion, ZERO, ONE, I, J, K
 from .qlinalg import (
@@ -19,6 +13,12 @@ from .qlinalg import (
     solve_min_norm, is_surjective, is_bounded_below, orthogonal_projector,
 )
 from .frames import Frame, FrameBounds, FrameReport, PythagorasCheck
+from .frame_ops import (
+    IntertwinerResult, EquivalenceResult,
+    map_frame, unitary_invariance_check, project_frame, intertwiner,
+    are_equivalent, frame_with_frame_operator, bessel_from_operator,
+)
+from .checks import run_checks
 
 __version__ = "0.1.0"
 
@@ -36,20 +36,3 @@ __all__ = [
     "run_checks",
     "__version__",
 ]
-
-# name -> submodule that defines it, imported on first access
-_LAZY = dict.fromkeys([
-    "IntertwinerResult", "EquivalenceResult",
-    "map_frame", "unitary_invariance_check", "project_frame", "intertwiner",
-    "are_equivalent", "frame_with_frame_operator", "bessel_from_operator",
-], "frame_ops") | {"run_checks": "checks"}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

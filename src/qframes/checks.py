@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .frames import DEFAULT_SIZES, Frame
+from .frames import Frame
 from .frame_ops import (
     are_equivalent,
     bessel_from_operator,
@@ -50,6 +50,8 @@ from .sampling import (
     random_vector,
     random_with_spectrum,
 )
+
+DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 6), (3, 8), (4, 10))
 
 Sizes = Sequence[tuple[int, int]]
 

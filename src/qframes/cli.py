@@ -8,10 +8,6 @@ newline: _dumps writes rectangular nests of floats, the bulk of a frame file,
 in one pass, and hands every other value to json. Exit codes: 0 success,
 1 failed verification (the check suite), 2 usage or malformed input,
 including an entry that is not a number.
-
-Each call is one process, so import cost is paid per call: the modules that
-only some commands use (frame_ops, checks, sampling) are imported inside
-those commands.
 """
 
 from __future__ import annotations
@@ -25,8 +21,11 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
-from .frames import DEFAULT_SIZES, Frame, _real_array
+from .checks import DEFAULT_SIZES, run_checks
+from .frames import Frame, _real_array
+from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
 from .qlinalg import QMatrix, QVector, operator_norm, pinv
+from .sampling import random_frame
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,6 @@ def _bounds_lines(report: dict) -> list[str]:
 
 def cmd_gen(args) -> int:
     if args.kind == "with-operator":
-        from .frame_ops import frame_with_frame_operator
         if not args.operator:
             raise ValueError("gen --kind with-operator needs --operator FILE")
         L = load_operator(args.operator)
@@ -219,7 +217,6 @@ def cmd_gen(args) -> int:
         if not 1 <= args.dim <= args.count:
             raise ValueError(f"need 1 <= dim <= count, got dim={args.dim} "
                              f"count={args.count}")
-        from .sampling import random_frame
         rng = np.random.default_rng(args.seed)
         frame = random_frame(args.dim, args.count, rng)
         if args.kind == "parseval":
@@ -335,7 +332,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_map(args) -> int:
-    from .frame_ops import map_frame
     frame = load_frame(args.frame)
     L = load_operator(args.operator)
     image, report = map_frame(L, frame)
@@ -351,7 +347,6 @@ def cmd_map(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    from .frame_ops import are_equivalent
     first = load_frame(args.frame1)
     second = load_frame(args.frame2)
     verdict = are_equivalent(first, second)
@@ -366,7 +361,6 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .checks import run_checks
     sizes = _parse_sizes(args.sizes) if args.sizes else None
     report = run_checks(seed=args.seed, sizes=sizes, tolerance=args.tol)
     lines = []

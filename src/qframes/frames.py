@@ -37,11 +37,6 @@ FRAME_RTOL = 1e-10
 # A claimed representation sum u_i q_i = u must hold within this relative slack.
 REPRESENTATION_RTOL = 1e-8
 
-# The (dim, count) sizes the verification suite samples frames at by default.
-# Defined here rather than in checks so that `qframes check --help` can show
-# them without importing the suite.
-DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 6), (3, 8), (4, 10))
-
 __all__ = ["Frame", "FrameBounds", "FrameReport", "PythagorasCheck",
            "FRAME_RTOL", "REPRESENTATION_RTOL"]
 
@@ -51,7 +46,7 @@ def _real_array(entries, where: str) -> np.ndarray:
     number, or lists of uneven length, raise a ValueError naming where."""
     try:
         return np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: entries must be numbers in lists of equal "
                          f"length ({exc})") from None
 
@@ -327,25 +322,22 @@ class Frame:
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')
-        # One conversion and one check for a well-formed file; anything else
-        # goes vector by vector below, which names the first bad vector.
+        # One conversion and one check for a well-formed file. Anything else
+        # goes vector by vector below, which raises naming the first bad one.
         try:
-            comps = np.asarray(vectors, dtype=float)
-        except (TypeError, ValueError):
+            comps = (np.asarray(vectors, dtype=float) if vectors
+                     else np.zeros((0, dim, 4)))
+        except (TypeError, ValueError, OverflowError):
             comps = None
-        if (comps is not None and comps.shape == (len(vectors), dim, 4)
-                and np.isfinite(comps).all()):
-            return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))
-        columns = []
-        for i, entries in enumerate(vectors):
-            arr = _real_array(entries, f"vector {i}")
-            if arr.shape != (dim, 4):
-                raise ValueError(f"vector {i}: expected {dim} entries of 4 "
-                                 f"components, got shape {arr.shape}")
-            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-            if bad.size:
-                raise ValueError(f"vector {i}, entry {bad[0]}: components must "
-                                 f"be finite, got {arr[bad[0]].tolist()}")
-            columns.append(arr)
-        comps = np.stack(columns, axis=1) if columns else np.zeros((dim, 0, 4))
-        return cls.from_synthesis(QMatrix(comps))
+        if (comps is None or comps.shape != (len(vectors), dim, 4)
+                or not np.isfinite(comps).all()):
+            for i, entries in enumerate(vectors):
+                arr = _real_array(entries, f"vector {i}")
+                if arr.shape != (dim, 4):
+                    raise ValueError(f"vector {i}: expected {dim} entries of 4 "
+                                     f"components, got shape {arr.shape}")
+                bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+                if bad.size:
+                    raise ValueError(f"vector {i}, entry {bad[0]}: components "
+                                     f"must be finite, got {arr[bad[0]].tolist()}")
+        return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))

@@ -421,6 +421,27 @@ def test_vector_file_entry_errors_name_the_file(tmp_path, bad):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("kind", ["frame", "operator", "vector"])
+def test_entry_too_large_for_a_float_exits_2(tmp_path, kind):
+    # a JSON integer beyond the double range cannot be read as a number
+    frame = basis_frame(2, [0, 1])
+    op = diag_operator([1.0, 2.0])
+    vec = {"entries": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}
+    {"frame": frame["vectors"][1], "operator": op["entries"][1],
+     "vector": vec["entries"]}[kind][1][0] = 10**400
+    write_json(tmp_path / "f.json", frame)
+    write_json(tmp_path / "op.json", op)
+    write_json(tmp_path / "u.json", vec)
+    args, where = {"frame": (["info", "f.json"], "f.json: vector 1"),
+                   "operator": (["map", "f.json", "op.json"], "op.json"),
+                   "vector": (["coeffs", "f.json", "u.json"], "u.json")}[kind]
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 2
+    assert f"{where}: entries must be numbers" in res.stderr
+    assert "too large" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_non_object_top_level_exits_2(tmp_path):
     run_cli(["gen", "-n", "2", "-m", "4", "--seed", "1", "--out", "f.json"],
             tmp_path)

@@ -544,7 +544,9 @@ def test_from_dict_matches_the_per_vector_path():
     [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 2, [[1, 0, 0, 0]] * 3],  # short
     [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0], [0, np.inf, 0, 0], [1, 0, 0, 0]]],
     [[[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 2, [[0, np.nan, 0, 0]] * 3],
-], ids=["wrong-dim", "short-vector", "non-finite", "two-bad-vectors"])
+    [[[1, 0, 0]] * 4] * 3,                  # 3 x 4 x 3: the size of 3 x 3 x 4
+], ids=["wrong-dim", "short-vector", "non-finite", "two-bad-vectors",
+        "same-size-other-shape"])
 def test_from_dict_errors_match_the_per_vector_path(vectors):
     data = {"dim": 3, "vectors": vectors}
     with pytest.raises(ValueError) as want:

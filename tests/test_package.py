@@ -1,26 +1,8 @@
-"""The package namespace: lazily served names and what the CLI imports."""
-
-import os
-import subprocess
-import sys
-
-import pytest
-from conftest import SOURCE_DIR
+"""The package namespace: every public name is bound by `import qframes`."""
 
 import qframes
 import qframes.checks
 import qframes.frame_ops
-
-
-def test_cli_import_leaves_out_unused_modules():
-    # a fresh interpreter, so no other test has imported these already
-    code = ("import sys, qframes.cli; print(sorted(m for m in sys.modules "
-            "if m in ('qframes.checks', 'qframes.sampling', 'qframes.frame_ops')))")
-    env = dict(os.environ, PYTHONPATH=SOURCE_DIR)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
 
 
 def test_every_public_name_is_served():
@@ -31,8 +13,3 @@ def test_every_public_name_is_served():
     assert set(qframes.__all__) <= set(dir(qframes))
     assert qframes.run_checks is qframes.checks.run_checks
     assert qframes.intertwiner is qframes.frame_ops.intertwiner
-
-
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        qframes.no_such_name
