@@ -43,9 +43,17 @@ __all__ = ["Frame", "FrameBounds", "FrameReport", "PythagorasCheck",
 
 def _real_array(entries, where: str) -> np.ndarray:
     """entries read from a file as a float array; an entry that is not a
-    number, or lists of uneven length, raise a ValueError naming where."""
+    number (a string that reads as one included), or lists of uneven length,
+    raise a ValueError naming where."""
     try:
-        return np.asarray(entries, dtype=float)
+        arr = np.asarray(entries)
+        # astype(float) would read a string such as "1.5" as a number, so
+        # strings are refused first; JSON integers beyond int64 arrive as an
+        # object array, which may hold one too.
+        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
+                isinstance(x, str) for x in arr.flat)):
+            raise TypeError("a component is a string")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: entries must be numbers in lists of equal "
                          f"length ({exc})") from None
@@ -98,6 +106,14 @@ class Frame:
     """
 
     def __init__(self, vectors: Iterable, dim: int | None = None):
+        # A real (count, dim, 4) array is T transposed: one QMatrix call. Any
+        # other input goes vector by vector, which names the first bad one.
+        if (isinstance(vectors, np.ndarray) and vectors.dtype.kind in "biuf"
+                and vectors.ndim == 3 and len(vectors) and vectors.shape[2] == 4
+                and vectors.shape[1] >= 1
+                and (dim is None or vectors.shape[1] == dim)):
+            self._synthesis = QMatrix(vectors.transpose(1, 0, 2))
+            return
         columns = []
         for i, v in enumerate(vectors):
             comps = _vector_components(v)
@@ -158,6 +174,15 @@ class Frame:
         return self._synthesis
 
     @cached_property
+    def _adjoint(self) -> QMatrix:
+        """T*, m x n, the analysis operator, formed once for every later use.
+
+        S = T T* does not keep it: S is formed once, and the Parseval frame
+        built only to be reported would hold its T* for nothing.
+        """
+        return self.synthesis.H
+
+    @cached_property
     def frame_operator(self) -> QMatrix:
         """S = T T*, Hermitian positive semidefinite, exactly symmetrized."""
         T = self.synthesis
@@ -181,7 +206,7 @@ class Frame:
 
     def analysis(self, u: QVector) -> QVector:
         """Coefficient readout (<u_i, u>)_i, the action of T*."""
-        return self.synthesis.H @ u
+        return self._adjoint @ u
 
     # -- frame status -----------------------------------------------------
 
@@ -213,7 +238,7 @@ class Frame:
 
     def coefficients(self, u: QVector) -> QVector:
         """Frame coefficients c_i = <u_i, S^-1 u>, the minimal-norm expansion."""
-        return self.synthesis.H @ (self._inverse_operator @ u)
+        return self._adjoint @ (self._inverse_operator @ u)
 
     def reconstruct(self, coeffs: QVector) -> QVector:
         """Synthesize sum u_i c_i from a coefficient vector."""
@@ -280,23 +305,33 @@ class Frame:
         if R.shape != (self.dim, self.dim):
             raise ValueError(f"expected an operator on H^{self.dim}, "
                              f"got shape {R.shape}")
-        return self._dual.synthesis.H @ (R @ self.synthesis)
+        return self._dual._adjoint @ (R @ self.synthesis)
 
     # -- reporting and serialization --------------------------------------
 
     def report(self) -> FrameReport:
-        """Status, raw spectrum, and deterministic operator-identity residuals."""
+        """Status, raw spectrum, and deterministic operator-identity residuals.
+
+        For a frame each residual is ||X - I||_F / sqrt(n), read from the
+        cached operators, with D = S^-1 T the canonical dual's synthesis:
+
+        - "reconstruction": X = T D*, the natural representation
+          u = sum u_i <S^-1 u_i, u>, that is T T* S^-1 = I;
+        - "dual-reconstruction": X = S^-1 S, the inverse of the frame
+          operator S = T T*;
+        - "parseval": X = S^-1/2 S S^-1/2, the frame operator of the
+          Parseval frame {S^-1/2 u_i}.
+        """
         lam = self.spectrum
         lo = float(lam[-1]) if len(lam) else 0.0
         hi = float(lam[0]) if len(lam) else 0.0
         residuals: dict[str, float] = {}
         status = "frame" if self.is_frame else "rank-deficient"
         if status == "frame":
-            T = self.synthesis
             n = self.dim
             eye = QMatrix.identity(n)
-            recon = (T @ (T.H @ self._inverse_operator)) - eye
-            dual = (self._inverse_operator @ (T @ T.H)) - eye
+            recon = (self.synthesis @ self._dual._adjoint) - eye
+            dual = (self._inverse_operator @ self.frame_operator) - eye
             tight = self.parseval_normalize().frame_operator - eye
             scale = float(np.sqrt(n))
             residuals["reconstruction"] = recon.frobenius_norm() / scale
@@ -322,15 +357,18 @@ class Frame:
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')
-        # One conversion and one check for a well-formed file. Anything else
-        # goes vector by vector below, which raises naming the first bad one.
+        # One conversion and one check for a well-formed file: numbers only,
+        # so a string is never read as one. Anything else (strings, JSON
+        # integers beyond int64, null) goes vector by vector below, which
+        # raises naming the first bad vector.
         try:
-            comps = (np.asarray(vectors, dtype=float) if vectors
-                     else np.zeros((0, dim, 4)))
+            comps = np.asarray(vectors) if vectors else np.zeros((0, dim, 4))
         except (TypeError, ValueError, OverflowError):
             comps = None
-        if (comps is None or comps.shape != (len(vectors), dim, 4)
+        if (comps is None or comps.dtype.kind not in "biuf"
+                or comps.shape != (len(vectors), dim, 4)
                 or not np.isfinite(comps).all()):
+            arrays = []
             for i, entries in enumerate(vectors):
                 arr = _real_array(entries, f"vector {i}")
                 if arr.shape != (dim, 4):
@@ -340,4 +378,6 @@ class Frame:
                 if bad.size:
                     raise ValueError(f"vector {i}, entry {bad[0]}: components "
                                      f"must be finite, got {arr[bad[0]].tolist()}")
+                arrays.append(arr)
+            comps = np.stack(arrays)
         return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))

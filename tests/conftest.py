@@ -46,3 +46,21 @@ def lapack_svd_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setattr(qframes.qlinalg, "svd", recovering_svd)
     return calls
+
+
+@pytest.fixture
+def split_products(monkeypatch):
+    """Record the inner dimension of every qlinalg._split_matmul call.
+
+    Every quaternionic product, matrix by matrix or matrix by vector, is one
+    call; its inner dimension is the column count of the left factor.
+    """
+    inner = []
+    split_matmul = qframes.qlinalg._split_matmul
+
+    def counting(A1, B1, A2, B2):
+        inner.append(A1.shape[1])
+        return split_matmul(A1, B1, A2, B2)
+
+    monkeypatch.setattr(qframes.qlinalg, "_split_matmul", counting)
+    return inner

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qframes.frames import Frame, PythagorasCheck
-from qframes.qlinalg import QMatrix, QVector, operator_norm
+from qframes.frames import FRAME_RTOL, Frame, PythagorasCheck
+from qframes.qlinalg import QMatrix, QVector, herm_eig, operator_norm
 from qframes.quaternion import I, J, K, Quaternion
 from qframes.sampling import (
     random_frame,
@@ -97,10 +97,24 @@ def test_synthesis_columns_are_the_vectors():
     # the parsed vectors, for every accepted form of a vector
     comps = T.components.transpose(1, 0, 2)
     quats = [[T[i, k] for i in range(3)] for k in range(5)]
-    for vectors in (T.columns(), comps, comps.tolist(), quats):
+    ints = np.arange(60).reshape(5, 3, 4) - 30
+    for vectors in (T.columns(), comps, comps.tolist(), quats, ints):
         ref = QMatrix.from_columns([QVector(v) for v in vectors])
         for got, want in zip(Frame(vectors).synthesis.split, ref.split):
             assert np.array_equal(got, want)
+    # an array is read in one step; a -0.0 component keeps its sign
+    signed = comps.copy()
+    signed[2, 1] = (-0.0, 1.0, -0.0, 2.0)
+    got = Frame(signed, dim=3).synthesis.components
+    assert np.array_equal(got, signed.transpose(1, 0, 2))
+    assert np.signbit(got[1, 2, [0, 2]]).all()
+    # a shape mismatch and an empty array keep the per-vector messages
+    with pytest.raises(ValueError, match="vector 0 has length 2, expected 3"):
+        Frame(np.ones((5, 2, 4)), dim=3)
+    empty = Frame(np.zeros((0, 3, 4)), dim=3)
+    assert empty.synthesis.shape == (3, 0)
+    with pytest.raises(ValueError, match="an empty family needs an explicit dim"):
+        Frame(np.zeros((0, 3, 4)))
 
 
 def test_analysis_reads_inner_products():
@@ -461,6 +475,56 @@ def test_report_of_rank_deficient_family():
     assert rep.residuals == {}
     assert rep.lower == pytest.approx(0.0, abs=1e-15)
     assert rep.upper == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 8), (12, 36), (64, 192)])
+def test_report_matches_the_product_formulas(n, m):
+    # the residuals read the cached S and dual; the reference forms every
+    # product afresh: T (T* S^-1) - I and S^-1 (T T*) - I
+    fr = random_frame(n, m, np.random.default_rng([n, m]))
+    rep = fr.report()
+    T = fr.synthesis
+    S = T @ T.H
+    sa, sb = S.split
+    S = QMatrix.from_split(0.5 * (sa + sa.conj().T), 0.5 * (sb - sb.T))
+    spectral = herm_eig(S)
+    lam = spectral.eigenvalues
+    assert rep.status == ("frame" if lam[-1] > n * FRAME_RTOL * lam[0]
+                          else "rank-deficient")
+    assert (rep.lower, rep.upper) == (float(lam[-1]), float(lam[0]))
+    assert rep.spectrum == tuple(float(x) for x in lam)
+    inv = spectral.apply(lambda x: 1.0 / x)
+    eye = QMatrix.identity(n)
+    scale = np.sqrt(n)
+    recon = (T @ (T.H @ inv) - eye).frobenius_norm() / scale
+    dual = (inv @ (T @ T.H) - eye).frobenius_norm() / scale
+    assert abs(rep.residuals["reconstruction"] - recon) <= 1e-15
+    assert abs(rep.residuals["dual-reconstruction"] - dual) <= 1e-15
+
+
+def test_frame_calculus_forms_each_product_once(split_products, monkeypatch):
+    fr = random_frame(4, 40, np.random.default_rng(47))
+    fr.report()
+    fr.canonical_dual()
+    fr.parseval_normalize()
+    # S = T T*, T D*, S^-1 S, the Parseval frame's S, S^-1 T and S^-1/2 T
+    assert len(split_products) == 6
+    assert split_products.count(40) == 3
+    # T* is formed once, however often it is applied
+    adjoint = QMatrix.H.fget
+    taken = []
+
+    def recording(M):
+        taken.append(M)
+        return adjoint(M)
+
+    monkeypatch.setattr(QMatrix, "H", property(recording))
+    rng = np.random.default_rng(48)
+    for _ in range(5):
+        u = random_vector(4, rng)
+        fr.coefficients(u)
+        fr.analysis(u)
+    assert len(taken) == 1 and taken[0] is fr.synthesis
 
 
 def test_report_to_dict_shape():
