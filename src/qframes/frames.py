@@ -357,18 +357,15 @@ class Frame:
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')
-        # One conversion and one check for a well-formed file: numbers only,
-        # so a string is never read as one. Anything else (strings, JSON
-        # integers beyond int64, null) goes vector by vector below, which
-        # raises naming the first bad vector.
+        # One conversion and one check for a well-formed file. Anything else
+        # goes vector by vector below, which raises naming the first bad one.
         try:
-            comps = np.asarray(vectors) if vectors else np.zeros((0, dim, 4))
-        except (TypeError, ValueError, OverflowError):
+            comps = (_real_array(vectors, "vectors") if vectors
+                     else np.zeros((0, dim, 4)))
+        except ValueError:
             comps = None
-        if (comps is None or comps.dtype.kind not in "biuf"
-                or comps.shape != (len(vectors), dim, 4)
+        if (comps is None or comps.shape != (len(vectors), dim, 4)
                 or not np.isfinite(comps).all()):
-            arrays = []
             for i, entries in enumerate(vectors):
                 arr = _real_array(entries, f"vector {i}")
                 if arr.shape != (dim, 4):
@@ -378,6 +375,4 @@ class Frame:
                 if bad.size:
                     raise ValueError(f"vector {i}, entry {bad[0]}: components "
                                      f"must be finite, got {arr[bad[0]].tolist()}")
-                arrays.append(arr)
-            comps = np.stack(arrays)
         return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))
