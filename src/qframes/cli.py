@@ -22,9 +22,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from .checks import DEFAULT_SIZES, run_checks
-from .frames import Frame, _real_array
+from .frames import Frame
 from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
-from .qlinalg import QMatrix, QVector, operator_norm, pinv
+from .qlinalg import QMatrix, QVector, _real_array, operator_norm, pinv
 from .sampling import random_frame
 
 

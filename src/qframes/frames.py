@@ -27,6 +27,8 @@ from .qlinalg import (
     QVector,
     _EmbeddedSvd,
     _embedded_svd,
+    _own,
+    _real_array,
     _vector_components,
     herm_eig,
 )
@@ -39,24 +41,6 @@ REPRESENTATION_RTOL = 1e-8
 
 __all__ = ["Frame", "FrameBounds", "FrameReport", "PythagorasCheck",
            "FRAME_RTOL", "REPRESENTATION_RTOL"]
-
-
-def _real_array(entries, where: str) -> np.ndarray:
-    """entries read from a file as a float array; an entry that is not a
-    number (a string that reads as one included), or lists of uneven length,
-    raise a ValueError naming where."""
-    try:
-        arr = np.asarray(entries)
-        # astype(float) would read a string such as "1.5" as a number, so
-        # strings are refused first; JSON integers beyond int64 arrive as an
-        # object array, which may hold one too.
-        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
-                isinstance(x, str) for x in arr.flat)):
-            raise TypeError("a component is a string")
-        return arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: entries must be numbers in lists of equal "
-                         f"length ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +100,7 @@ class Frame:
             return
         columns = []
         for i, v in enumerate(vectors):
-            comps = _vector_components(v)
+            comps = _vector_components(v, f"vector {i}, entry")
             if dim is None:
                 dim = len(comps)
             elif len(comps) != dim:
@@ -188,7 +172,7 @@ class Frame:
         T = self.synthesis
         S = T @ T.H
         sa, sb = S.split
-        return QMatrix.from_split(0.5 * (sa + sa.conj().T), 0.5 * (sb - sb.T))
+        return _own(QMatrix, 0.5 * (sa + sa.conj().T), 0.5 * (sb - sb.T))
 
     @cached_property
     def _spectral(self) -> HermEig:

@@ -17,7 +17,8 @@ alone. The kernel of chi(M) is the embedded kernel of M, so a kernel basis
 needs only the null columns of one full SVD. Quaternionic eigenvectors and
 singular vectors are recovered only on request: a simple value takes one
 embedded column of its pair, a degenerate group is orthonormalized inside
-itself, and two Newton-Schulz steps make the columns orthonormal to rounding.
+itself, and at most two Newton-Schulz steps make the columns orthonormal to
+rounding; the polish stops as soon as they are.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ HERMITIAN_TOL = 1e-10    # entrywise Hermiticity check, relative to max entry
 ORTHONORMAL_TOL = 1e-10  # entrywise check for orthonormal-column inputs
 RANK_RTOL = 1e-12        # rank cutoff is max(m, n) * RANK_RTOL * sigma_max
 RANGE_RTOL = 1e-8        # admissible relative distance of a RHS from the range
+POLISH_TOL = 1e-14       # entrywise U*U - I drift at which the polish stops
 
 __all__ = [
     "QVector", "QMatrix", "HermEig", "QSvd",
@@ -52,12 +54,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # construction helpers
 
+def _real_array(entries, where: str) -> np.ndarray:
+    """entries as a float array; an entry that is not a number (a string that
+    reads as one included), or lists of uneven length, raise a ValueError
+    naming where."""
+    try:
+        arr = np.asarray(entries)
+        # astype(float) would read a string such as "1.5" as a number, so
+        # strings are refused first; integers beyond int64 arrive as an
+        # object array, which may hold one too.
+        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
+                isinstance(x, str) for x in arr.flat)):
+            raise TypeError("a component is a string")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: entries must be numbers in lists of equal "
+                         f"length ({exc})") from None
+
+
 def _entry_components(entry, where: str) -> tuple[float, float, float, float]:
     if isinstance(entry, Quaternion):
         return entry.components
     if isinstance(entry, Real):
         return (float(entry), 0.0, 0.0, 0.0)
-    seq = np.asarray(entry, dtype=float)
+    seq = _real_array(entry, where)
     if seq.shape != (4,):
         raise ValueError(f"{where}: expected a quaternion, a real number, "
                          f"or 4 components, got shape {seq.shape}")
@@ -65,9 +85,12 @@ def _entry_components(entry, where: str) -> tuple[float, float, float, float]:
 
 
 def _vector_components(entries, where: str = "entry") -> np.ndarray:
+    # A numeric (n, 4) array is read in one step; any other array goes entry
+    # by entry, which names the first entry that is not a number.
     if isinstance(entries, QVector):
         return entries.components
-    if isinstance(entries, np.ndarray) and entries.ndim == 2 and entries.shape[1] == 4:
+    if (isinstance(entries, np.ndarray) and entries.dtype.kind in "biuf"
+            and entries.ndim == 2 and entries.shape[1] == 4):
         return np.asarray(entries, dtype=float)
     comps = [_entry_components(e, f"{where} {i}") for i, e in enumerate(entries)]
     if not comps:
@@ -77,10 +100,13 @@ def _vector_components(entries, where: str = "entry") -> np.ndarray:
 
 def _split_from_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Each pair of real components is read as one complex number in place, so
-    # every bit (the sign of a zero included) survives; the halves are copied
-    # so they never alias the caller's array.
+    # every bit (the sign of a zero included) survives; the halves are copied,
+    # so they never alias the caller's array, and made read-only.
     z = np.ascontiguousarray(comps, dtype=float).view(complex)
-    return z[..., 0].copy(), z[..., 1].copy()
+    a, b = z[..., 0].copy(), z[..., 1].copy()
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 def _components_from_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,13 +115,23 @@ def _components_from_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return comps
 
 
-def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    out = []
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype=complex)
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
+def _own(cls, a: np.ndarray, b: np.ndarray):
+    """A QVector or QMatrix holding complex halves the library just allocated.
+
+    Nothing else refers to them, so they are kept without a copy and only
+    made read-only. Arrays from outside come in through from_split, which
+    copies them.
+    """
+    a.setflags(write=False)
+    b.setflags(write=False)
+    self = object.__new__(cls)
+    self._a, self._b = a, b
+    return self
+
+
+def _entry_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a + b*j| for each entry of the split halves."""
+    return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
 
 
 class QVector:
@@ -105,27 +141,26 @@ class QVector:
 
     def __init__(self, entries):
         comps = _vector_components(entries)
-        self._a, self._b = _freeze(*_split_from_components(comps))
+        self._a, self._b = _split_from_components(comps)
 
     @classmethod
     def from_split(cls, a: np.ndarray, b: np.ndarray) -> "QVector":
-        self = object.__new__(cls)
-        a = np.asarray(a, dtype=complex).reshape(-1)
-        b = np.asarray(b, dtype=complex).reshape(-1)
+        """The vector a + b*j, holding copies of a and b."""
+        a = np.array(a, dtype=complex, order="C").reshape(-1)
+        b = np.array(b, dtype=complex, order="C").reshape(-1)
         if a.shape != b.shape:
             raise ValueError("split halves disagree in length")
-        self._a, self._b = _freeze(a, b)
-        return self
+        return _own(cls, a, b)
 
     @classmethod
     def zeros(cls, n: int) -> "QVector":
-        return cls.from_split(np.zeros(n, complex), np.zeros(n, complex))
+        return _own(cls, np.zeros(n, complex), np.zeros(n, complex))
 
     @classmethod
     def basis(cls, n: int, index: int) -> "QVector":
         a = np.zeros(n, complex)
         a[index] = 1.0
-        return cls.from_split(a, np.zeros(n, complex))
+        return _own(cls, a, np.zeros(n, complex))
 
     @property
     def split(self) -> tuple[np.ndarray, np.ndarray]:
@@ -149,21 +184,21 @@ class QVector:
         return self.components.tolist()
 
     def __add__(self, other: "QVector") -> "QVector":
-        return QVector.from_split(self._a + other._a, self._b + other._b)
+        return _own(QVector, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        return QVector.from_split(self._a - other._a, self._b - other._b)
+        return _own(QVector, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "QVector":
-        return QVector.from_split(-self._a, -self._b)
+        return _own(QVector, -self._a, -self._b)
 
     def __mul__(self, scalar) -> "QVector":
         if isinstance(scalar, Real):
-            return QVector.from_split(self._a * scalar, self._b * scalar)
+            scalar = float(scalar)
+            return _own(QVector, self._a * scalar, self._b * scalar)
         if isinstance(scalar, Quaternion):
             z1, z2 = scalar.to_complex_pair()
-            a, b = _right_scale(self._a, self._b, z1, z2)
-            return QVector.from_split(a, b)
+            return _own(QVector, *_right_scale(self._a, self._b, z1, z2))
         return NotImplemented
 
     def __rmul__(self, scalar) -> "QVector":
@@ -191,7 +226,10 @@ class QMatrix:
     __slots__ = ("_a", "_b")
 
     def __init__(self, rows):
-        if isinstance(rows, np.ndarray) and rows.ndim == 3 and rows.shape[2] == 4:
+        # A numeric (m, n, 4) array is read in one step; any other array goes
+        # entry by entry, which names the first entry that is not a number.
+        if (isinstance(rows, np.ndarray) and rows.dtype.kind in "biuf"
+                and rows.ndim == 3 and rows.shape[2] == 4):
             comps = np.asarray(rows, dtype=float)
         else:
             parsed = []
@@ -208,36 +246,35 @@ class QMatrix:
             if not parsed:
                 raise ValueError("a matrix needs at least one row")
             comps = np.asarray(parsed, dtype=float).reshape(len(parsed), width or 0, 4)
-        self._a, self._b = _freeze(*_split_from_components(comps))
+        self._a, self._b = _split_from_components(comps)
 
     @classmethod
     def from_split(cls, a: np.ndarray, b: np.ndarray) -> "QMatrix":
-        self = object.__new__(cls)
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
+        """The matrix A + B*j, holding copies of A and B."""
+        a = np.array(a, dtype=complex, order="C")
+        b = np.array(b, dtype=complex, order="C")
         if a.ndim != 2 or a.shape != b.shape:
             raise ValueError("split halves must be 2-d and of equal shape")
-        self._a, self._b = _freeze(a, b)
-        return self
+        return _own(cls, a, b)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMatrix":
-        return cls.from_split(np.zeros((m, n), complex), np.zeros((m, n), complex))
+        return _own(cls, np.zeros((m, n), complex), np.zeros((m, n), complex))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.from_split(np.eye(n, dtype=complex), np.zeros((n, n), complex))
+        return _own(cls, np.eye(n, dtype=complex), np.zeros((n, n), complex))
 
     @classmethod
     def diag(cls, entries) -> "QMatrix":
         comps = _vector_components(entries, "diagonal entry")
         a, b = _split_from_components(comps)
-        return cls.from_split(np.diag(a), np.diag(b))
+        return _own(cls, np.diag(a), np.diag(b))
 
     @classmethod
     def from_real(cls, arr) -> "QMatrix":
         arr = np.asarray(arr, dtype=float)
-        return cls.from_split(arr.astype(complex), np.zeros_like(arr, dtype=complex))
+        return _own(cls, arr.astype(complex), np.zeros_like(arr, dtype=complex))
 
     @classmethod
     def from_columns(cls, columns: Sequence[QVector], dim: int | None = None) -> "QMatrix":
@@ -249,7 +286,7 @@ class QMatrix:
         b = np.column_stack([c.split[1] for c in columns])
         if dim is not None and a.shape[0] != dim:
             raise ValueError(f"columns live in H^{a.shape[0]}, expected H^{dim}")
-        return cls.from_split(a, b)
+        return _own(cls, a, b)
 
     @property
     def split(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,20 +317,22 @@ class QMatrix:
     @property
     def H(self) -> "QMatrix":
         """Adjoint (conjugate transpose): split acts as (A, B) -> (A^H, -B^T)."""
-        return QMatrix.from_split(self._a.conj().T, -self._b.T)
+        return _own(QMatrix, np.conjugate(self._a.T, order="C"),
+                    np.negative(self._b.T, order="C"))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix.from_split(self._a + other._a, self._b + other._b)
+        return _own(QMatrix, self._a + other._a, self._b + other._b)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix.from_split(self._a - other._a, self._b - other._b)
+        return _own(QMatrix, self._a - other._a, self._b - other._b)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix.from_split(-self._a, -self._b)
+        return _own(QMatrix, -self._a, -self._b)
 
     def __mul__(self, scalar) -> "QMatrix":
         if isinstance(scalar, Real):
-            return QMatrix.from_split(self._a * scalar, self._b * scalar)
+            scalar = float(scalar)
+            return _own(QMatrix, self._a * scalar, self._b * scalar)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -302,22 +341,21 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.shape[1] != other.shape[0]:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-            a, b = _split_matmul(self._a, self._b, other._a, other._b)
-            return QMatrix.from_split(a, b)
+            return _own(QMatrix, *_split_matmul(self._a, self._b,
+                                                 other._a, other._b))
         if isinstance(other, QVector):
             if self.shape[1] != len(other):
                 raise ValueError(f"cannot apply {self.shape} to a vector of "
                                  f"length {len(other)}")
-            oa, ob = other.split
-            a, b = _split_matmul(self._a, self._b, oa[:, None], ob[:, None])
-            return QVector.from_split(a[:, 0], b[:, 0])
+            return _own(QVector, *_split_matmul(self._a, self._b,
+                                                 other._a, other._b))
         return NotImplemented
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(_split_norm_sq(self._a, self._b)))
 
     def entry_moduli(self) -> np.ndarray:
-        return np.sqrt(np.abs(self._a) ** 2 + np.abs(self._b) ** 2)
+        return _entry_moduli(self._a, self._b)
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of each column, as one array."""
@@ -434,8 +472,8 @@ def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
 def _fold(X: np.ndarray) -> QMatrix:
     """The quaternionic matrix whose embedding is nearest to X, shape 2m x 2n."""
     m, n = X.shape[0] // 2, X.shape[1] // 2
-    return QMatrix.from_split(0.5 * (X[:m, :n] + X[m:, n:].conj()),
-                              0.5 * (X[:m, n:] - X[m:, :n].conj()))
+    return _own(QMatrix, 0.5 * (X[:m, :n] + X[m:, n:].conj()),
+                0.5 * (X[:m, n:] - X[m:, :n].conj()))
 
 
 def _partner(z: np.ndarray) -> np.ndarray:
@@ -485,20 +523,24 @@ def _recover(W: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _polish(Z: np.ndarray) -> QMatrix:
-    """The quaternionic columns of Z after two steps of U <- U (3I - U*U) / 2.
+    """The quaternionic columns of Z after up to two steps of
+    U <- U (3I - U*U) / 2, stopping once U*U = I within POLISH_TOL.
 
     Vectors of groups just over CLUSTER_TOL apart carry cross terms of order
     eps / gap, up to about 1e-6. Each Newton-Schulz step squares them (one
     step leaves about 1e-12), and the mixing it applies reaches a
-    factorization only multiplied by the gap between the groups.
+    factorization only multiplied by the gap between the groups. Columns
+    already orthonormal to rounding cost only the Gram matrix that shows it.
     """
     n = Z.shape[0] // 2
-    a, b = Z[:n], -Z[n:].conj()
+    a, b = Z[:n].copy(), -Z[n:].conj()
     eye = np.eye(Z.shape[1])
     for _ in range(2):
         ga, gb = _split_matmul(a.conj().T, -b.T, a, b)
+        if _entry_moduli(ga - eye, gb).max(initial=0.0) <= POLISH_TOL:
+            break
         a, b = _split_matmul(a, b, 1.5 * eye - 0.5 * ga, -0.5 * gb)
-    return QMatrix.from_split(a, b)
+    return _own(QMatrix, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +584,19 @@ def herm_eig(M: QMatrix) -> HermEig:
     if m != n:
         raise ValueError(f"expected a square matrix, got {M.shape}")
     scale = float(M.entry_moduli().max()) if n else 0.0
-    drift = (M - M.H).entry_moduli()
+    # The top block row of chi - chi^H is [A - A^H, B + B^T], the split of
+    # M - M*, so the drift is read off the embedding built anyway.
+    chi = complex_adjoint(M)
+    chi_h = chi.conj().T
+    skew = chi[:n] - chi_h[:n]
+    drift = _entry_moduli(skew[:, :n], skew[:, n:])
     if np.any(drift > HERMITIAN_TOL * scale):
         i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise ValueError(
             f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
             f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
 
-    chi = complex_adjoint(M)
-    chi = 0.5 * (chi + chi.conj().T)
-    doubled, W = np.linalg.eigh(chi)
+    doubled, W = np.linalg.eigh(0.5 * (chi + chi_h))
     lam = _validate_pairing(doubled, "eigen")
     return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]), embedded=W)
 
@@ -712,4 +757,4 @@ def orthogonal_projector(B: QMatrix) -> QMatrix:
                          f"is off by {drift[i, k]:.3e}")
     P = B @ B.H
     pa, pb = P.split
-    return QMatrix.from_split(0.5 * (pa + pa.conj().T), 0.5 * (pb - pb.T))
+    return _own(QMatrix, 0.5 * (pa + pa.conj().T), 0.5 * (pb - pb.T))

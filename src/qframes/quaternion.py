@@ -9,23 +9,52 @@ three imaginary parts, and |q|^2 = conj(q)*q is real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # |q| below this counts as zero when inverting.  Guards the division without
 # letting subnormal noise masquerade as an invertible scalar.
 INVERSE_CUTOFF = 1e-300
 
 
-@dataclass(frozen=True)
 class Quaternion:
-    a0: float = 0.0
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
+    """Immutable quaternion a0 + a1*i + a2*j + a3*k with float components.
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "a2", "a3"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+    A slotted value class: equal components give equal objects and equal
+    hashes, assignment raises AttributeError, and copy, pickle and positional
+    `match` all go through the four components.
+    """
+
+    __slots__ = ("a0", "a1", "a2", "a3")
+    __match_args__ = ("a0", "a1", "a2", "a3")
+
+    def __init__(self, a0: float = 0.0, a1: float = 0.0, a2: float = 0.0,
+                 a3: float = 0.0) -> None:
+        # The only way a Quaternion is built; each component is converted once.
+        _set_a0(self, float(a0))
+        _set_a1(self, float(a1))
+        _set_a2(self, float(a2))
+        _set_a3(self, float(a3))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.a0, self.a1, self.a2, self.a3))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.a0, self.a1, self.a2, self.a3)
+                == (other.a0, other.a1, other.a2, other.a3))
+
+    def __hash__(self) -> int:
+        return hash((self.a0, self.a1, self.a2, self.a3))
+
+    def __repr__(self) -> str:
+        return (f"Quaternion(a0={self.a0!r}, a1={self.a1!r}, a2={self.a2!r}, "
+                f"a3={self.a3!r})")
 
     # -- construction and conversion ----------------------------------
 
@@ -47,18 +76,20 @@ class Quaternion:
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "Quaternion | float") -> "Quaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Quaternion):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Quaternion(self.a0 + other.a0, self.a1 + other.a1,
                           self.a2 + other.a2, self.a3 + other.a3)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Quaternion | float") -> "Quaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Quaternion):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return Quaternion(self.a0 - other.a0, self.a1 - other.a1,
                           self.a2 - other.a2, self.a3 - other.a3)
 
@@ -72,11 +103,12 @@ class Quaternion:
         return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3)
 
     def __mul__(self, other: "Quaternion | float") -> "Quaternion":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a0, a1, a2, a3 = self.components
-        b0, b1, b2, b3 = other.components
+        if not isinstance(other, Quaternion):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
+        b0, b1, b2, b3 = other.a0, other.a1, other.a2, other.a3
         return Quaternion(
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
             a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
@@ -138,6 +170,10 @@ def _coerce(value) -> "Quaternion":
         return Quaternion(float(value))
     return NotImplemented
 
+
+# The slot setters, bound once: assignment through the class raises.
+_set_a0, _set_a1, _set_a2, _set_a3 = (
+    Quaternion.__dict__[name].__set__ for name in Quaternion.__slots__)
 
 ZERO = Quaternion()
 ONE = Quaternion(1.0)

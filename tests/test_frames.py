@@ -42,6 +42,17 @@ def test_mismatched_lengths_rejected():
         Frame([e(2, 0), e(3, 0)])
 
 
+def test_numeric_strings_are_not_components():
+    # a component is a number; "1.5" is refused wherever a vector comes from
+    for vectors, where in (([[["1.5", 0, 0, 0]]], "vector 0, entry 0"),
+                           ([[[1, 0, 0, 0]], [[0, 0, 0, 0], ["0", "1", "0", "0"]]],
+                            "vector 1, entry 1"),
+                           (np.array([[["1", "0", "0", "0"]]]), "vector 0, entry 0")):
+        with pytest.raises(ValueError, match=where + ": .*string"):
+            Frame(vectors)
+    assert Frame([[[10**20, 0, 0, 0]]]).synthesis[0, 0] == Quaternion(1e20)
+
+
 def test_empty_family_needs_dim():
     with pytest.raises(ValueError, match="explicit dim"):
         Frame([])

@@ -1,10 +1,14 @@
 """Right-module linear algebra: inner products, adjoints, spectra, inverses."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qframes.quaternion import I, J, K, ONE, Quaternion
 from qframes.qlinalg import (
+    HERMITIAN_TOL,
+    POLISH_TOL,
     QMatrix,
     QVector,
     _validate_pairing,
@@ -290,22 +294,56 @@ def test_herm_eig_degenerate_spectra():
         assert drift.entry_moduli().max() <= UNITARY_TOL
 
 
-def test_herm_eig_close_groups_stay_orthonormal():
+def test_herm_eig_close_groups_stay_orthonormal(split_products):
     # 1 and 1 + 5e-10 lie just outside CLUSTER_TOL, so LAPACK's vectors of
     # the two groups carry cross terms of order 1e-6 that the polish has to
-    # remove; 1 and 1 + 5e-11 form one group whose vectors must still follow
-    # their values
+    # remove in Newton-Schulz steps; 1 and 1 + 5e-11 form one group whose
+    # vectors must still follow their values, and which is orthonormalized
+    # inside itself, so its polish stops at the first Gram matrix
     rng = np.random.default_rng(57)
-    for lam in ([3.0, 2.0, 1.0 + 5e-10, 1.0], [3.0, 2.0, 1.0 + 5e-11, 1.0]):
+    for lam, products in (([3.0, 2.0, 1.0 + 5e-10, 1.0], (3, 4)),
+                          ([3.0, 2.0, 1.0 + 5e-11, 1.0], (1,)),
+                          ([1.0, 1.0, 1.0, 1.0 + 5e-11], (1,))):
         for _ in range(5):
             Q = random_unitary(4, rng)
             M = Q @ QMatrix.diag(lam) @ Q.H
             eig = herm_eig(M)
+            split_products.clear()
             U = eig.eigenvectors
+            assert len(split_products) in products
             refactor = U @ QMatrix.diag(eig.eigenvalues) @ U.H - M
             assert frob(refactor) <= 1e-14 * frob(M)
             drift = U.H @ U - QMatrix.identity(4)
-            assert drift.entry_moduli().max() <= 1e-14
+            assert drift.entry_moduli().max() <= POLISH_TOL
+
+
+def test_polish_stops_once_orthonormal(split_products):
+    rng = np.random.default_rng(58)
+    eig = herm_eig(random_hermitian(4, rng))
+    assert split_products == []
+    U = eig.eigenvectors
+    # LAPACK's vectors of a simple spectrum are orthonormal to rounding: the
+    # one product is the Gram matrix that shows it
+    assert len(split_products) == 1
+    assert (U.H @ U - QMatrix.identity(4)).entry_moduli().max() <= POLISH_TOL
+
+
+def test_hermitian_drift_matches_the_adjoint_difference():
+    # the check reads the drift off chi(M); it must report the entries and
+    # values of M - M* exactly
+    rng = np.random.default_rng(60)
+    comps = np.array(random_hermitian(3, rng).components)
+    comps[2, 0] += [1e-6, -2e-6, 3e-7, 5e-7]
+    M = QMatrix(comps)
+    drift = (M - M.H).entry_moduli()
+    i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
+    scale = float(M.entry_moduli().max())
+    assert drift[i, k] > HERMITIAN_TOL * scale
+    with pytest.raises(ValueError) as info:
+        herm_eig(M)
+    assert str(info.value) == (
+        f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
+        f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
 
 
 def test_herm_eig_doubling_visible_in_embedding():
@@ -633,6 +671,68 @@ def test_vector_components_read_only():
     u = e(2, 0)
     with pytest.raises(ValueError):
         u.components[0, 0] = 5.0
+
+
+def test_vector_from_split_copies_the_callers_arrays():
+    v = np.array([1.0 + 2j, 3.0])
+    u = QVector.from_split(v, v)
+    v[0] = 7.0
+    assert u[0] == Quaternion(1, 2, 1, 2)
+    assert v.flags.writeable
+    for half in u.split:
+        assert not half.flags.writeable
+
+
+def test_matrix_from_split_copies_the_callers_arrays():
+    a = np.array([[1.0, 2j], [0.5, 4.0]])
+    b = np.zeros((2, 2), complex)
+    M = QMatrix.from_split(a, b)
+    assert not np.shares_memory(M.split[0], a)
+    assert not np.shares_memory(M.split[1], b)
+    assert a.flags.writeable and b.flags.writeable
+    a[0, 0] = 9.0
+    assert M[0, 0] == ONE
+    for half in M.split:
+        assert not half.flags.writeable
+
+
+def test_results_own_their_halves():
+    rng = np.random.default_rng(97)
+    A, B = random_matrix(2, 3, rng), random_matrix(3, 2, rng)
+    u = random_vector(3, rng)
+    q = Quaternion(*rng.standard_normal(4))
+    for M in (A + A, A - A, -A, A * 2.0, A @ B, A.H, kernel_basis(A)):
+        for half in M.split:
+            assert half.dtype == complex and not half.flags.writeable
+            assert half.flags.c_contiguous
+    for w in (u + u, u - u, -u, u * 2.0, u * Fraction(1, 2), u * q, A @ u):
+        for half in w.split:
+            assert half.dtype == complex and not half.flags.writeable
+    assert np.array_equal((A @ u).split[0], (A @ QMatrix.from_columns([u])).split[0][:, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QVector([["1.5", "0", "0", "0"]]),
+    lambda: QVector([ONE, ["1.5", 0, 0, 0]]),
+    lambda: QVector(["1.5"]),
+    lambda: QVector(np.array([["1", "0", "0", "0"]])),
+    lambda: QVector(np.array([[1, 0, 0, 0], ["1.5", 0, 0, 0]], dtype=object)),
+    lambda: QMatrix([[["1.5", 0, 0, 0]]]),
+    lambda: QMatrix(np.array([[["1", "0", "0", "0"]]])),
+    lambda: QMatrix.diag([["2", 0, 0, 0]]),
+], ids=["vector-list", "vector-mixed", "vector-bare", "vector-array",
+        "vector-object", "matrix-list", "matrix-array", "diag"])
+def test_numeric_strings_are_not_components(build):
+    with pytest.raises(ValueError, match=r"(entry|column) \d.*string"):
+        build()
+
+
+def test_huge_integers_are_still_components():
+    u = QVector([[10**20, 0, 0, 0]])
+    assert u[0] == Quaternion(1e20)
+    M = QMatrix(np.array([[[10**20, 0, 0, 1]]], dtype=object))
+    assert M[0, 0] == Quaternion(1e20, 0, 0, 1)
+    assert QVector(np.array([[1, 2, 3, 4]], dtype=object))[0] == Quaternion(1, 2, 3, 4)
 
 
 def test_vector_right_scalar_associativity():

@@ -1,11 +1,14 @@
 """Scalar quaternion algebra: Hamilton relations, conjugation, inversion."""
 
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 
+from qframes.qlinalg import QVector, inner
 from qframes.quaternion import I, J, K, ONE, ZERO, Quaternion
 
 REL_TOL = 1e-13
@@ -122,6 +125,64 @@ def test_real_scalar_arithmetic():
     assert q / 2 == Quaternion(0.5, 1, 1.5, 2)
     assert q + 1 == Quaternion(2, 2, 3, 4)
     assert 1 - q == Quaternion(0, -2, -3, -4)
+
+
+def test_value_semantics():
+    q = Quaternion(1, np.float64(2.5), np.int64(-3), 4)
+    with pytest.raises(AttributeError):
+        q.a0 = 5.0
+    with pytest.raises(AttributeError):
+        q.extra = 5.0
+    with pytest.raises(AttributeError):
+        del q.a1
+    assert q.components == (1.0, 2.5, -3.0, 4.0)
+    assert all(type(x) is float for x in q.components)
+    assert Quaternion(a2=1) == J and Quaternion(a3=-1.0, a0=2) == Quaternion(2, 0, 0, -1)
+    same = Quaternion(1.0, 2.5, -3.0, 4.0)
+    assert q == same and q is not same and hash(q) == hash(same)
+    assert hash(q) == hash((1.0, 2.5, -3.0, 4.0))
+    assert q != Quaternion(1, 2.5, -3, 4.5) and q != 1.0 and ONE != 1.0
+    assert len({q, same, ONE, Quaternion(1)}) == 2
+    assert repr(ONE) == "Quaternion(a0=1.0, a1=0.0, a2=0.0, a3=0.0)"
+    assert repr(Quaternion(-0.0, 1e-300)) == \
+        "Quaternion(a0=-0.0, a1=1e-300, a2=0.0, a3=0.0)"
+    for again in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+        assert type(again) is Quaternion and again == q
+        assert again.components == q.components
+    match q:
+        case Quaternion(a, b, c, d):
+            assert (a, b, c, d) == (1.0, 2.5, -3.0, 4.0)
+        case _:
+            pytest.fail("positional match did not bind the components")
+
+
+def test_every_scalar_is_built_through_init(monkeypatch):
+    # the benchmark counts Quaternion scalars by wrapping __init__, so every
+    # scalar the library returns must be built through it
+    built = []
+    init = Quaternion.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counting)
+    p, q = Quaternion(1, 2, 3, 4), Quaternion(0.5, -1, 0, 2)
+    u = QVector([p, q])
+    results = {
+        "from_complex_pair": lambda: Quaternion.from_complex_pair(1 + 2j, 3 - 1j),
+        "inner": lambda: inner(u, u),
+        "getitem": lambda: u[1],
+        "add": lambda: p + q, "radd": lambda: 1 + p,
+        "sub": lambda: p - q, "rsub": lambda: 1 - p,
+        "mul": lambda: p * q, "rmul": lambda: 2 * p,
+        "neg": lambda: -p,
+        "conjugate": lambda: p.conjugate(),
+    }
+    for name, make in results.items():
+        built.clear()
+        result = make()
+        assert any(r is result for r in built), name
 
 
 def test_str_rendering():
