@@ -27,6 +27,7 @@ from .frame_ops import (
 )
 from .qlinalg import (
     QMatrix,
+    QVector,
     complex_adjoint,
     embed_vector,
     herm_eig,
@@ -44,7 +45,6 @@ from .sampling import (
     random_invertible,
     random_matrix,
     random_positive_definite,
-    random_quaternion,
     random_rank_deficient,
     random_unitary,
     random_vector,
@@ -88,8 +88,14 @@ def _rel(x: float, scale: float) -> float:
     return x / max(scale, 1e-300)
 
 
-def _tiny(x: float) -> float:
-    return max(x, 1e-300)
+def _worst(x: np.ndarray, scale) -> float:
+    """The largest of the column-wise relative residuals x / scale."""
+    return float((x / np.maximum(scale, 1e-300)).max())
+
+
+def _block(draw: np.ndarray) -> QMatrix:
+    """k vectors drawn as one (k, n, 4) array, as the columns of a block."""
+    return QMatrix(draw.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +128,8 @@ def _unit_table(rng, sizes) -> float:
         1e-13)
 def _modulus_mult(rng, sizes) -> float:
     worst = 0.0
-    for _ in range(300):
-        p, q = random_quaternion(rng), random_quaternion(rng)
+    for row in rng.standard_normal((300, 8)).tolist():
+        p, q = Quaternion(*row[:4]), Quaternion(*row[4:])
         worst = max(worst, _rel(abs((p * q).modulus() - p.modulus() * q.modulus()),
                                 p.modulus() * q.modulus()))
     return worst
@@ -134,9 +140,9 @@ def _modulus_mult(rng, sizes) -> float:
         1e-13)
 def _conj_anti(rng, sizes) -> float:
     worst = 0.0
-    for _ in range(300):
-        p, q = random_quaternion(rng), random_quaternion(rng)
-        scale = _tiny(p.modulus() * q.modulus())
+    for row in rng.standard_normal((300, 8)).tolist():
+        p, q = Quaternion(*row[:4]), Quaternion(*row[4:])
+        scale = p.modulus() * q.modulus()
         worst = max(worst, _rel(((p * q).conjugate()
                                  - q.conjugate() * p.conjugate()).modulus(), scale))
         square = q.conjugate() * q
@@ -155,17 +161,16 @@ def _conj_anti(rng, sizes) -> float:
 def _inner_structure(rng, sizes) -> float:
     worst = 0.0
     for n, _ in sizes:
-        for _ in range(20):
-            u, v = random_vector(n, rng), random_vector(n, rng)
-            q = random_quaternion(rng)
-            scale = _tiny(u.norm() * v.norm() * q.modulus())
+        for draw in rng.standard_normal((20, 2 * n + 1, 4)):
+            u, v = QVector(draw[:n]), QVector(draw[n:2 * n])
+            q = Quaternion(*draw[2 * n])
+            scale = u.norm() * v.norm() * q.modulus()
             worst = max(worst, _rel((inner(v, u * q)
                                      - inner(v, u) * q).modulus(), scale))
-            worst = max(worst, _rel((inner(u, v)
-                                     - inner(v, u).conjugate()).modulus(),
-                                    _tiny(u.norm() * v.norm())))
+            worst = max(worst, _rel((inner(u, v) - inner(v, u).conjugate()).modulus(),
+                                    u.norm() * v.norm()))
             gap = inner(u, v).modulus() - u.norm() * v.norm()
-            worst = max(worst, _rel(max(gap, 0.0), _tiny(u.norm() * v.norm())))
+            worst = max(worst, _rel(max(gap, 0.0), u.norm() * v.norm()))
     return worst
 
 
@@ -175,13 +180,13 @@ def _inner_structure(rng, sizes) -> float:
 def _right_linearity(rng, sizes) -> float:
     worst = 0.0
     for n, _ in sizes:
-        for _ in range(10):
-            M = random_matrix(n, n, rng)
-            u, v = random_vector(n, rng), random_vector(n, rng)
-            q = random_quaternion(rng)
+        for draw in rng.standard_normal((10, (n + 1) ** 2, 4)):
+            M = QMatrix(draw[:n * n].reshape(n, n, 4))
+            u, v = QVector(draw[n * n:n * n + n]), QVector(draw[n * n + n:-1])
+            q = Quaternion(*draw[-1])
             lhs = M @ (u * q + v)
             rhs = (M @ u) * q + M @ v
-            worst = max(worst, _rel((lhs - rhs).norm(), _tiny(rhs.norm())))
+            worst = max(worst, _rel((lhs - rhs).norm(), rhs.norm()))
     return worst
 
 
@@ -191,12 +196,12 @@ def _right_linearity(rng, sizes) -> float:
 def _adjoint_identity(rng, sizes) -> float:
     worst = 0.0
     for n, m in sizes:
-        for _ in range(10):
-            M = random_matrix(n, m, rng)
-            u, v = random_vector(n, rng), random_vector(m, rng)
+        for draw in rng.standard_normal((10, n * m + n + m, 4)):
+            M = QMatrix(draw[:n * m].reshape(n, m, 4))
+            u, v = QVector(draw[n * m:n * m + n]), QVector(draw[n * m + n:])
             lhs = inner(M.H @ u, v)
             rhs = inner(u, M @ v)
-            scale = _tiny(operator_norm(M) * u.norm() * v.norm())
+            scale = operator_norm(M) * u.norm() * v.norm()
             worst = max(worst, _rel((lhs - rhs).modulus(), scale))
     return worst
 
@@ -212,14 +217,14 @@ def _embedding_hom(rng, sizes) -> float:
         u = random_vector(n, rng)
         prod = np.linalg.norm(complex_adjoint(M @ N)
                               - complex_adjoint(M) @ complex_adjoint(N))
-        scale = _tiny(np.linalg.norm(complex_adjoint(M))
-                      * np.linalg.norm(complex_adjoint(N)))
+        scale = (np.linalg.norm(complex_adjoint(M))
+                 * np.linalg.norm(complex_adjoint(N)))
         worst = max(worst, _rel(prod, scale))
         star = np.linalg.norm(complex_adjoint(M.H) - complex_adjoint(M).conj().T)
-        worst = max(worst, _rel(star, _tiny(np.linalg.norm(complex_adjoint(M)))))
+        worst = max(worst, _rel(star, np.linalg.norm(complex_adjoint(M))))
         vec = np.linalg.norm(complex_adjoint(M) @ embed_vector(u)
                              - embed_vector(M @ u))
-        worst = max(worst, _rel(vec, _tiny(operator_norm(M) * u.norm())))
+        worst = max(worst, _rel(vec, operator_norm(M) * u.norm()))
     return worst
 
 
@@ -245,7 +250,7 @@ def _doubled_spectrum(rng, sizes) -> float:
             eig = herm_eig(M)
             U = eig.eigenvectors
             refactor = (U @ QMatrix.diag(eig.eigenvalues) @ U.H - M).frobenius_norm()
-            worst = max(worst, _rel(refactor, _tiny(M.frobenius_norm())))
+            worst = max(worst, _rel(refactor, M.frobenius_norm()))
             unit = (U.H @ U - QMatrix.identity(n)).entry_moduli().max()
             worst = max(worst, float(unit))
             if np.any(np.diff(eig.eigenvalues) > 0):
@@ -272,7 +277,7 @@ def _svd_factorization(rng, sizes) -> float:
             sig[:k, :k] = np.diag(fac.singular_values)
             core = QMatrix.from_real(sig)
             refactor = (fac.u @ core @ fac.v.H - M).frobenius_norm()
-            worst = max(worst, _rel(refactor, _tiny(M.frobenius_norm())))
+            worst = max(worst, _rel(refactor, M.frobenius_norm()))
             for f, d in ((fac.u, r), (fac.v, c)):
                 unit = (f.H @ f - QMatrix.identity(d)).entry_moduli().max()
                 worst = max(worst, float(unit))
@@ -296,8 +301,8 @@ def _penrose(rng, sizes) -> float:
             else:
                 M = random_rank_deficient(n, m, rank, rng)
             P = pinv(M)
-            scale_m = _tiny(M.frobenius_norm())
-            scale_p = _tiny(P.frobenius_norm())
+            scale_m = M.frobenius_norm()
+            scale_p = P.frobenius_norm()
             worst = max(worst, _rel((M @ P @ M - M).frobenius_norm(), scale_m))
             worst = max(worst, _rel((P @ M @ P - P).frobenius_norm(), scale_p))
             for proj in (M @ P, P @ M):
@@ -315,14 +320,14 @@ def _min_norm(rng, sizes) -> float:
         M = random_matrix(n, m, rng)  # wide, surjective with probability one
         v = M @ random_vector(m, rng)
         x = solve_min_norm(M, v)
-        worst = max(worst, _rel((M @ x - v).norm(), _tiny(v.norm())))
+        worst = max(worst, _rel((M @ x - v).norm(), v.norm()))
         null = kernel_basis(M)
         if null.shape[1]:
-            worst = max(worst, _rel((null.H @ x).norm(), _tiny(x.norm())))
-            for _ in range(5):
-                shifted = x + null @ random_vector(null.shape[1], rng)
-                worst = max(worst, _rel(max(x.norm() - shifted.norm(), 0.0),
-                                        _tiny(x.norm())))
+            worst = max(worst, _rel((null.H @ x).norm(), x.norm()))
+            shifted = (QMatrix.from_columns([x] * 5)
+                       + null @ _block(rng.standard_normal((5, null.shape[1], 4))))
+            worst = max(worst, _worst(np.maximum(
+                x.norm() - shifted.column_norms(), 0.0), x.norm()))
     return worst
 
 
@@ -338,19 +343,17 @@ def _frame_inequality(rng, sizes) -> float:
     for n, m in sizes:
         F = random_frame(n, m, rng)
         bounds = F.optimal_bounds()
-        S = F.frame_operator
-        for _ in range(10):
-            u = random_vector(n, rng)
-            power = F.analysis(u).norm() ** 2
-            scale = _tiny(bounds.upper * u.norm() ** 2)
-            worst = max(worst, _rel(max(bounds.lower * u.norm() ** 2 - power, 0.0),
-                                    scale))
-            worst = max(worst, _rel(max(power - bounds.upper * u.norm() ** 2, 0.0),
-                                    scale))
-            quad = inner(u, S @ u)
-            worst = max(worst, _rel(abs(quad.a0 - power), scale))
-            worst = max(worst, _rel(
-                Quaternion(0.0, quad.a1, quad.a2, quad.a3).modulus(), scale))
+        U = _block(rng.standard_normal((10, n, 4)))
+        power = F.analysis(U).column_norms() ** 2
+        size = U.column_norms() ** 2
+        scale = bounds.upper * size
+        # <u, S u> for each column u, on the diagonal of U* S U
+        qa, qb = (np.diag(h) for h in (U.H @ (F.frame_operator @ U)).split)
+        worst = max(worst,
+                    _worst(np.maximum(bounds.lower * size - power, 0.0), scale),
+                    _worst(np.maximum(power - bounds.upper * size, 0.0), scale),
+                    _worst(np.abs(qa.real - power), scale),
+                    _worst(np.hypot(qa.imag, np.abs(qb)), scale))
     return worst
 
 
@@ -385,8 +388,8 @@ def _bound_formulas(rng, sizes) -> float:
                  1.0 / operator_norm(pinv(T)) ** 2)
         upper = (bounds.upper, operator_norm(F.frame_operator),
                  operator_norm(T) ** 2)
-        worst = max(worst, (max(lower) - min(lower)) / _tiny(min(lower)))
-        worst = max(worst, (max(upper) - min(upper)) / _tiny(min(upper)))
+        worst = max(worst, _rel(max(lower) - min(lower), min(lower)))
+        worst = max(worst, _rel(max(upper) - min(upper), min(upper)))
     return worst
 
 
@@ -397,13 +400,13 @@ def _reconstruction(rng, sizes) -> float:
     worst = 0.0
     for n, m in sizes:
         F = random_frame(n, m, rng)
-        for _ in range(10):
-            u = random_vector(n, rng)
-            direct = F.natural_representation(u)
-            mirrored = F.dual_expansion(u)
-            worst = max(worst, _rel((direct - u).norm(), _tiny(u.norm())))
-            worst = max(worst, _rel((mirrored - u).norm(), _tiny(u.norm())))
-            worst = max(worst, _rel((direct - mirrored).norm(), _tiny(u.norm())))
+        U = _block(rng.standard_normal((10, n, 4)))
+        direct = F.natural_representation(U)
+        mirrored = F.dual_expansion(U)
+        size = U.column_norms()
+        worst = max(worst, _worst((direct - U).column_norms(), size),
+                    _worst((mirrored - U).column_norms(), size),
+                    _worst((direct - mirrored).column_norms(), size))
     return worst
 
 
@@ -415,14 +418,14 @@ def _coefficient_minimality(rng, sizes) -> float:
     for n, m in sizes:
         F = random_frame(n, m, rng)
         null = kernel_basis(F.synthesis)
-        for _ in range(5):
-            u = random_vector(n, rng)
-            c = F.coefficients(u)
-            offered = c + null @ random_vector(null.shape[1], rng)
-            split = F.pythagoras_check(u, offered)
-            worst = max(worst, split.residual)
-            worst = max(worst, _rel(max(c.norm() - offered.norm(), 0.0),
-                                    _tiny(c.norm())))
+        draw = rng.standard_normal((5, n + null.shape[1], 4))
+        U = _block(draw[:, :n])
+        c = F.coefficients(U)
+        offered = c + null @ _block(draw[:, n:])
+        worst = max(worst, float(F.pythagoras_check(U, offered).residual.max()))
+        c_norm = c.column_norms()
+        worst = max(worst, _worst(np.maximum(c_norm - offered.column_norms(), 0.0),
+                                  c_norm))
     return worst
 
 
@@ -435,14 +438,11 @@ def _coefficient_routes(rng, sizes) -> float:
         F = random_frame(n, m, rng)
         T = F.synthesis
         dagger = pinv(T)
-        for _ in range(5):
-            u = random_vector(n, rng)
-            c1 = F.coefficients(u)
-            c2 = dagger @ u
-            c3 = solve_min_norm(T, u)
-            scale = _tiny(c1.norm())
-            worst = max(worst, _rel((c1 - c2).norm(), scale))
-            worst = max(worst, _rel((c1 - c3).norm(), scale))
+        U = _block(rng.standard_normal((5, n, 4)))
+        c = F.coefficients(U)
+        scale = c.column_norms()
+        worst = max(worst, _worst((c - dagger @ U).column_norms(), scale),
+                    _worst((c - solve_min_norm(T, U)).column_norms(), scale))
     return worst
 
 
@@ -461,7 +461,7 @@ def _dual_reciprocity(rng, sizes) -> float:
         worst = max(worst, abs(dbounds.upper - 1.0 / bounds.lower)
                     * bounds.lower)
         back = dual.canonical_dual()
-        scale = _tiny(F.synthesis.column_norms().max())
+        scale = F.synthesis.column_norms().max()
         drift = (F.synthesis - back.synthesis).column_norms().max()
         worst = max(worst, _rel(drift, scale))
     return worst
@@ -477,10 +477,9 @@ def _parseval(rng, sizes) -> float:
         tight = F.parseval_normalize()
         drift = (tight.frame_operator - QMatrix.identity(n)).frobenius_norm()
         worst = max(worst, drift / np.sqrt(n))
-        for _ in range(5):
-            u = random_vector(n, rng)
-            back = tight.synthesis @ tight.analysis(u)
-            worst = max(worst, _rel((back - u).norm(), _tiny(u.norm())))
+        U = _block(rng.standard_normal((5, n, 4)))
+        back = tight.synthesis @ tight.analysis(U)
+        worst = max(worst, _worst((back - U).column_norms(), U.column_norms()))
     return worst
 
 
@@ -494,14 +493,13 @@ def _transport(rng, sizes) -> float:
         bounds = F.optimal_bounds()
         R = random_matrix(n, n, rng)
         carrier = F.coefficient_transport(R)
-        for _ in range(5):
-            u = random_vector(n, rng)
-            lhs = carrier @ F.coefficients(u)
-            rhs = F.coefficients(R @ u)
-            worst = max(worst, _rel((lhs - rhs).norm(), _tiny(rhs.norm())))
+        U = _block(rng.standard_normal((5, n, 4)))
+        lhs = carrier @ F.coefficients(U)
+        rhs = F.coefficients(R @ U)
+        worst = max(worst, _worst((lhs - rhs).column_norms(), rhs.column_norms()))
         cap = bounds.upper * operator_norm(R) / bounds.lower
         worst = max(worst, _rel(max(operator_norm(carrier) - cap * (1 + 1e-9), 0.0),
-                                _tiny(cap)))
+                                cap))
     return worst
 
 
@@ -526,10 +524,8 @@ def _operator_images(rng, sizes) -> float:
         ibounds = image.optimal_bounds()
         floor = bounds.lower * sigma[-1] ** 2
         cap = bounds.upper * sigma[0] ** 2
-        worst = max(worst, _rel(max(floor - ibounds.lower * (1 + 1e-9), 0.0),
-                                _tiny(floor)))
-        worst = max(worst, _rel(max(ibounds.upper - cap * (1 + 1e-9), 0.0),
-                                _tiny(cap)))
+        worst = max(worst, _rel(max(floor - ibounds.lower * (1 + 1e-9), 0.0), floor))
+        worst = max(worst, _rel(max(ibounds.upper - cap * (1 + 1e-9), 0.0), cap))
         if n >= 2:
             wide = random_with_spectrum(
                 n - 1, n, np.sort(rng.uniform(0.5, 2.0, size=n - 1))[::-1], rng)
@@ -577,9 +573,9 @@ def _projection(rng, sizes) -> float:
         plain, plain_bounds = project_frame(basis, F)
         env = F.optimal_bounds()
         worst = max(worst, _rel(max(env.lower - plain_bounds.lower * (1 + 1e-9),
-                                    0.0), _tiny(env.lower)))
+                                    0.0), env.lower))
         worst = max(worst, _rel(max(plain_bounds.upper - env.upper * (1 + 1e-9),
-                                    0.0), _tiny(env.upper)))
+                                    0.0), env.upper))
     return worst
 
 
@@ -595,7 +591,7 @@ def _equivalence(rng, sizes) -> float:
         verdict = are_equivalent(F, G)
         if verdict.relation != "equivalent" or verdict.intertwiner is None:
             return 1.0
-        scale = _tiny(operator_norm(G.synthesis))
+        scale = operator_norm(G.synthesis)
         worst = max(worst, _rel(verdict.residual, scale))
         # reflexivity ties a frame to itself through the identity
         self_verdict = are_equivalent(F, F)
@@ -621,7 +617,7 @@ def _equivalence(rng, sizes) -> float:
                 return 1.0
             for w in (down.witness, up.witness):
                 worst = max(worst, _rel((H.synthesis @ w).norm(),
-                                        _tiny(operator_norm(H.synthesis))))
+                                        operator_norm(H.synthesis)))
                 if (F.synthesis @ w).norm() <= 1e-6 * operator_norm(F.synthesis):
                     return 1.0
     return worst
@@ -636,7 +632,7 @@ def _prescribed_operator(rng, sizes) -> float:
         L = random_positive_definite(n, rng)
         F = frame_with_frame_operator(L)
         drift = (F.frame_operator - L).frobenius_norm()
-        worst = max(worst, _rel(drift, _tiny(L.frobenius_norm())))
+        worst = max(worst, _rel(drift, L.frobenius_norm()))
     return worst
 
 
@@ -666,6 +662,9 @@ def run_checks(seed: int = 0, sizes: Sizes | None = None,
     for n, m in size_list:
         if n < 1 or m < 1:
             raise ValueError(f"sizes need positive dimensions, got ({n}, {m})")
+        if n > m:
+            raise ValueError(f"sizes need n <= m, as m vectors span H^n only "
+                             f"if m >= n; got ({n}, {m})")
     outcomes: list[CheckOutcome] = []
     for index, check in enumerate(CHECKS):
         rng = np.random.default_rng([seed, index])

@@ -11,6 +11,11 @@ The frame operator is S = T T* = sum u_i u_i*, and the optimal bounds are the
 extreme eigenvalues of S. Coefficient, dual, and normalization routines all
 run through the spectral factorization of S; families whose frame operator is
 singular are reported as rank-deficient rather than rejected.
+
+T, T* and S are right H-linear, so they act on a block U, a QMatrix whose
+columns are vectors, column by column: analysis, coefficients, reconstruct,
+natural_representation, dual_expansion and pythagoras_check take a QVector
+or a block, and a QVector is the one-column case of the same products.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ class FrameBounds:
 
 
 class PythagorasCheck(NamedTuple):
+    """Each field is one number, or one per column for a block."""
+
     lhs: float        # sum |q_i|^2 for the offered representation
     rhs: float        # sum |c_i|^2 + sum |c_i - q_i|^2
     residual: float   # |lhs - rhs| relative to their size
@@ -77,6 +84,11 @@ class FrameReport:
             "residuals": dict(self.residuals),
             "spectrum": list(self.spectrum),
         }
+
+
+def _norms(x: QVector | QMatrix):
+    """The norm of a vector, or the norm of each column of a block."""
+    return x.norm() if isinstance(x, QVector) else x.column_norms()
 
 
 class Frame:
@@ -188,7 +200,7 @@ class Frame:
         """Eigenvalues of the frame operator, descending."""
         return self._spectral.eigenvalues
 
-    def analysis(self, u: QVector) -> QVector:
+    def analysis(self, u: QVector | QMatrix) -> QVector | QMatrix:
         """Coefficient readout (<u_i, u>)_i, the action of T*."""
         return self._adjoint @ u
 
@@ -220,46 +232,49 @@ class Frame:
 
     # -- coefficients and reconstruction ---------------------------------
 
-    def coefficients(self, u: QVector) -> QVector:
+    def coefficients(self, u: QVector | QMatrix) -> QVector | QMatrix:
         """Frame coefficients c_i = <u_i, S^-1 u>, the minimal-norm expansion."""
         return self._adjoint @ (self._inverse_operator @ u)
 
-    def reconstruct(self, coeffs: QVector) -> QVector:
-        """Synthesize sum u_i c_i from a coefficient vector."""
-        if len(coeffs) != self.count:
+    def reconstruct(self, coeffs: QVector | QMatrix) -> QVector | QMatrix:
+        """Synthesize sum u_i c_i from a coefficient vector, or from each
+        column of a block."""
+        if coeffs.shape[0] != self.count:
             raise ValueError(f"expected {self.count} coefficients, "
-                             f"got {len(coeffs)}")
+                             f"got {coeffs.shape[0]}")
         return self.synthesis @ coeffs
 
-    def natural_representation(self, u: QVector) -> QVector:
+    def natural_representation(self, u: QVector | QMatrix) -> QVector | QMatrix:
         """u written as sum u_i <u_i, S^-1 u>; equals u for any frame."""
         return self.reconstruct(self.coefficients(u))
 
-    def dual_expansion(self, u: QVector) -> QVector:
+    def dual_expansion(self, u: QVector | QMatrix) -> QVector | QMatrix:
         """The mirrored expansion sum (S^-1 u_i) <u_i, u>; also equals u."""
         return self._inverse_operator @ (self.synthesis @ self.analysis(u))
 
-    def pythagoras_check(self, u: QVector, offered: QVector) -> PythagorasCheck:
+    def pythagoras_check(self, u: QVector | QMatrix,
+                         offered: QVector | QMatrix) -> PythagorasCheck:
         """Norm split of an arbitrary representation against the canonical one.
 
         For any q with sum u_i q_i = u, the identity
         sum |q_i|^2 = sum |c_i|^2 + sum |c_i - q_i|^2 holds, which is why the
         frame coefficients minimize the coefficient norm. Rejects offered
-        coefficients that do not actually represent u.
+        coefficients that do not actually represent u, naming the first
+        column that does not; a block is checked column by column.
         """
-        if len(offered) != self.count:
-            raise ValueError(f"expected {self.count} coefficients, "
-                             f"got {len(offered)}")
-        gap = (self.reconstruct(offered) - u).norm()
-        if gap > REPRESENTATION_RTOL * max(u.norm(), 1e-300):
-            raise ValueError(f"offered coefficients do not represent the "
-                             f"vector: relative residual "
-                             f"{gap / max(u.norm(), 1e-300):.3e}")
+        gap = _norms(self.reconstruct(offered) - u)
+        size = np.maximum(_norms(u), 1e-300)
+        bad = np.flatnonzero(gap > REPRESENTATION_RTOL * size)
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"offered coefficients in column {k} do not "
+                             f"represent the vector: relative residual "
+                             f"{np.ravel(gap / size)[k]:.3e}")
         c = self.coefficients(u)
-        lhs = offered.norm() ** 2
-        rhs = c.norm() ** 2 + (c - offered).norm() ** 2
-        scale = max(lhs, rhs, 1e-300)
-        return PythagorasCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / scale)
+        lhs = _norms(offered) ** 2
+        rhs = _norms(c) ** 2 + _norms(c - offered) ** 2
+        scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
+        return PythagorasCheck(lhs=lhs, rhs=rhs, residual=np.abs(lhs - rhs) / scale)
 
     # -- derived frames ---------------------------------------------------
 

@@ -23,6 +23,7 @@ rounding; the polish stops as soon as they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -130,8 +131,8 @@ def _own(cls, a: np.ndarray, b: np.ndarray):
 
 
 def _entry_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a + b*j| for each entry of the split halves."""
-    return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    """|a + b*j| for each entry of the split halves; hypot cannot overflow."""
+    return np.hypot(np.abs(a), np.abs(b))
 
 
 class QVector:
@@ -174,6 +175,10 @@ class QVector:
     def __len__(self) -> int:
         return self._a.shape[0]
 
+    @property
+    def shape(self) -> tuple[int]:
+        return self._a.shape
+
     def __getitem__(self, index: int) -> Quaternion:
         return Quaternion.from_complex_pair(self._a[index], self._b[index])
 
@@ -214,7 +219,7 @@ class QVector:
 
     def norm(self) -> float:
         """Euclidean norm sqrt(Re<u|u>) = l2 norm of all 4n real components."""
-        return float(np.sqrt(_split_norm_sq(self._a, self._b)))
+        return _split_norm(self._a, self._b)
 
     def __repr__(self) -> str:
         return f"QVector(n={len(self)})"
@@ -352,7 +357,7 @@ class QMatrix:
         return NotImplemented
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(_split_norm_sq(self._a, self._b)))
+        return _split_norm(self._a, self._b)
 
     def entry_moduli(self) -> np.ndarray:
         return _entry_moduli(self._a, self._b)
@@ -393,8 +398,17 @@ def _split_inner(a1, b1, a2, b2) -> tuple[complex, complex]:
     return complex(z1), complex(z2)
 
 
-def _split_norm_sq(a, b) -> float:
-    return float(np.vdot(a, a).real + np.vdot(b, b).real)
+def _split_norm(a, b) -> float:
+    """sqrt(sum |a|^2 + |b|^2). Only a sum of squares that is not finite
+    (entries beyond about 1e154) is formed again, after scaling by the
+    largest entry."""
+    sq = float(np.vdot(a, a).real + np.vdot(b, b).real)
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    top = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
+    if not math.isfinite(top):  # an entry is inf or nan
+        return math.sqrt(sq)
+    return top * _split_norm(a / top, b / top)
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
@@ -457,16 +471,18 @@ def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
 
 
 def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
+    """The quaternionic values of a doubled spectrum, sorted as LAPACK
+    returns it, so its largest modulus sits at one end."""
     even, odd = doubled[0::2], doubled[1::2]
-    scale = np.abs(doubled).max(initial=0.0)
-    widths = PAIR_TOL * (scale + np.abs(0.5 * (even + odd)))
-    bad = np.abs(even - odd) > widths
-    if np.any(bad):
+    mid = 0.5 * (even + odd)
+    scale = max(abs(doubled[0]), abs(doubled[-1])) if len(doubled) else 0.0
+    bad = np.abs(even - odd) > PAIR_TOL * (scale + np.abs(mid))
+    if bad.any():
         t = int(np.argmax(bad))
         raise np.linalg.LinAlgError(
             f"embedded {kind} spectrum failed to pair at position {2 * t}: "
-            f"{even[t]!r} vs {odd[t]!r}")
-    return 0.5 * (even + odd)
+            f"{float(even[t])!r} vs {float(odd[t])!r}")
+    return mid
 
 
 def _fold(X: np.ndarray) -> QMatrix:
@@ -583,20 +599,24 @@ def herm_eig(M: QMatrix) -> HermEig:
     m, n = M.shape
     if m != n:
         raise ValueError(f"expected a square matrix, got {M.shape}")
-    scale = float(M.entry_moduli().max()) if n else 0.0
-    # The top block row of chi - chi^H is [A - A^H, B + B^T], the split of
-    # M - M*, so the drift is read off the embedding built anyway.
+    # The top block row of chi is [A, B], the split of M, and that of
+    # chi - chi^H is [A - A^H, B + B^T], the split of M - M*: one modulus
+    # pass over the two reads the scale and the drift.
     chi = complex_adjoint(M)
     chi_h = chi.conj().T
-    skew = chi[:n] - chi_h[:n]
-    drift = _entry_moduli(skew[:, :n], skew[:, n:])
-    if np.any(drift > HERMITIAN_TOL * scale):
+    rows = np.abs(np.concatenate([chi[:n], chi[:n] - chi_h[:n]]))
+    moduli = np.hypot(rows[:, :n], rows[:, n:])
+    scale = float(moduli[:n].max(initial=0.0))
+    drift = moduli[n:]
+    if (drift > HERMITIAN_TOL * scale).any():
         i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise ValueError(
             f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
             f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
 
-    doubled, W = np.linalg.eigh(0.5 * (chi + chi_h))
+    chi += chi_h
+    chi *= 0.5
+    doubled, W = np.linalg.eigh(chi)
     lam = _validate_pairing(doubled, "eigen")
     return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]), embedded=W)
 
@@ -725,18 +745,28 @@ def kernel_basis(M: QMatrix, rtol: float | None = None) -> QMatrix:
     return _polish(_recover(null, np.zeros(null.shape[1] // 2), 0.0))
 
 
-def solve_min_norm(M: QMatrix, v: QVector, rtol: float | None = None) -> QVector:
-    """Minimal-norm solution of M x = v; rejects RHS outside the range."""
-    if M.shape[0] != len(v):
-        raise ValueError(f"shape mismatch: {M.shape} against length {len(v)}")
+def solve_min_norm(M: QMatrix, v: QVector | QMatrix,
+                   rtol: float | None = None) -> QVector | QMatrix:
+    """Minimal-norm solution of M x = v, or of M X = V column by column for a
+    block V; a right-hand side outside the range is rejected, naming the
+    first column that is."""
+    if M.shape[0] != v.shape[0]:
+        raise ValueError(f"shape mismatch: {M.shape} against {v.shape}")
     Wl, s, Wr, _ = _embedded_svd(M, rtol)
-    z = embed_vector(v)
+    va, vb = v.split
+    z = np.concatenate([va, -vb.conj()])  # embed_vector of each column
     coeffs = Wl.conj().T @ z
-    resid = float(np.linalg.norm(z - Wl @ coeffs))
-    if resid > RANGE_RTOL * max(v.norm(), 1e-300):
-        raise ValueError(f"right-hand side is not in the range: relative "
-                         f"residual {resid / max(v.norm(), 1e-300):.3e}")
-    return unembed_vector(Wr @ (coeffs / s))
+    # Column norms by hypot, which cannot overflow.
+    resid = np.hypot.reduce(np.abs(z - Wl @ coeffs), axis=0, initial=0.0)
+    size = np.maximum(np.hypot.reduce(np.abs(z), axis=0, initial=0.0), 1e-300)
+    bad = np.flatnonzero(resid > RANGE_RTOL * size)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"right-hand side column {k} is not in the range: "
+                         f"relative residual {np.ravel(resid / size)[k]:.3e}")
+    x = Wr @ (coeffs.T / s).T
+    n = M.shape[1]
+    return type(v).from_split(x[:n], -x[n:].conj())
 
 
 def is_surjective(M: QMatrix, rtol: float | None = None) -> bool:

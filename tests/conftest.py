@@ -64,3 +64,30 @@ def split_products(monkeypatch):
 
     monkeypatch.setattr(qframes.qlinalg, "_split_matmul", counting)
     return inner
+
+
+class RecordingRng:
+    """A numpy Generator that records the method and shape of every draw.
+
+    It draws exactly what np.random.default_rng(seed) would, so a check run
+    on it gives the same numbers; draws holds (method, shape) in order.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.shape(out)))
+            return out
+        return draw
+
+
+@pytest.fixture
+def recording_rng():
+    """A RecordingRng seeded with 0, to hand to a check function."""
+    return RecordingRng(0)

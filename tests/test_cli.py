@@ -308,6 +308,13 @@ def test_check_rejects_bad_sizes(tmp_path):
     assert "bad size" in res.stderr
 
 
+def test_check_rejects_fewer_vectors_than_the_dimension(tmp_path):
+    res = run_cli(["check", "--sizes", "2x6,6x4"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "(6, 4)" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 

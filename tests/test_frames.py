@@ -4,9 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qframes.frames import FRAME_RTOL, Frame, PythagorasCheck
-from qframes.qlinalg import QMatrix, QVector, herm_eig, operator_norm
+from qframes.qlinalg import (
+    QMatrix,
+    QVector,
+    herm_eig,
+    kernel_basis,
+    operator_norm,
+    solve_min_norm,
+)
 from qframes.quaternion import I, J, K, Quaternion
 from qframes.sampling import (
     random_frame,
@@ -258,6 +267,92 @@ def test_reconstruct_applies_right_coefficients():
 def test_reconstruct_rejects_wrong_count():
     with pytest.raises(ValueError, match="expected 3 coefficients"):
         doubled_basis().reconstruct(QVector([I, J]))
+    with pytest.raises(ValueError, match="expected 3 coefficients"):
+        doubled_basis().reconstruct(QMatrix.zeros(2, 5))
+
+
+# ---------------------------------------------------------------------------
+# blocks: a QMatrix of vectors goes through the same products column by column
+
+
+def _block_entry_points(F: Frame):
+    return {
+        "analysis": (F.analysis, F.dim),
+        "coefficients": (F.coefficients, F.dim),
+        "reconstruct": (F.reconstruct, F.count),
+        "natural_representation": (F.natural_representation, F.dim),
+        "dual_expansion": (F.dual_expansion, F.dim),
+        "solve_min_norm": (lambda X: solve_min_norm(F.synthesis, X), F.dim),
+    }
+
+
+def _column_gap(block: QMatrix, j: int, column: QVector) -> float:
+    return (block.column(j) - column).norm() / max(column.norm(), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_calls_match_the_column_calls(n, extra, k, seed):
+    rng = np.random.default_rng(seed)
+    F = random_frame(n, n + extra, rng)
+    bounds = F.optimal_bounds()
+    # the block and the columns take the same cached operators through
+    # products summed in another order: they agree to rounding times B/A
+    tol = 1e-13 * bounds.upper / bounds.lower
+    for name, (fn, rows) in _block_entry_points(F).items():
+        X = QMatrix(rng.standard_normal((rows, k, 4)))
+        block = fn(X)
+        assert isinstance(block, QMatrix) and block.shape[1] == k, name
+        for j in range(k):
+            column = fn(X.column(j))
+            assert isinstance(column, QVector), name
+            assert _column_gap(block, j, column) <= tol, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3),
+       st.lists(st.booleans(), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_solve_min_norm_block_names_the_first_column_off_the_range(
+        q, extra, off_range, seed):
+    # a tall M has a proper range: M x is in it, a Gaussian vector is not
+    rng = np.random.default_rng(seed)
+    M = random_matrix(q + extra, q, rng)
+    comps = np.array((M @ QMatrix(rng.standard_normal(
+        (q, len(off_range), 4)))).components)
+    for j, off in enumerate(off_range):
+        if off:
+            comps[:, j] = rng.standard_normal((q + extra, 4))
+    V = QMatrix(comps)
+    failing = []
+    for j in range(len(off_range)):
+        try:
+            solve_min_norm(M, V.column(j))
+        except ValueError as exc:
+            assert "column 0 is not in the range" in str(exc)
+            failing.append(j)
+    assert failing == [j for j, off in enumerate(off_range) if off]
+    if failing:
+        with pytest.raises(ValueError,
+                           match=f"column {failing[0]} is not in the range"):
+            solve_min_norm(M, V)
+    else:
+        X = solve_min_norm(M, V)
+        for j in range(len(off_range)):
+            column = solve_min_norm(M, V.column(j))
+            assert _column_gap(X, j, column) <= 1e-12
+
+
+def test_block_coefficients_are_two_products(split_products):
+    rng = np.random.default_rng(71)
+    F = random_frame(4, 10, rng)
+    U = QMatrix(rng.standard_normal((4, 100, 4)))
+    F.coefficients(U.column(0))  # forms and caches T* and S^-1
+    split_products.clear()
+    C = F.coefficients(U)
+    assert C.shape == (10, 100)
+    assert split_products == [4, 4]
 
 
 def test_natural_representation_recovers_vector():
@@ -325,6 +420,26 @@ def test_pythagoras_identity_random():
         chk = fr.pythagoras_check(u, offered)
         assert chk.residual <= 1e-10
         assert offered.norm() >= c.norm()
+
+
+def test_pythagoras_check_takes_a_block():
+    rng = np.random.default_rng(39)
+    fr = random_frame(3, 7, rng)
+    ker = kernel_basis(fr.synthesis)
+    U = QMatrix(rng.standard_normal((3, 4, 4)))
+    offered = fr.coefficients(U) + ker @ QMatrix(
+        rng.standard_normal((ker.shape[1], 4, 4)))
+    chk = fr.pythagoras_check(U, offered)
+    for j in range(4):
+        one = fr.pythagoras_check(U.column(j), offered.column(j))
+        for field in ("lhs", "rhs"):
+            assert getattr(chk, field)[j] == pytest.approx(getattr(one, field),
+                                                          rel=1e-12)
+        assert max(chk.residual[j], one.residual) <= 1e-10
+    bogus = np.array(offered.components)
+    bogus[0, 2, 0] += 1.0
+    with pytest.raises(ValueError, match="column 2 do not represent"):
+        fr.pythagoras_check(U, QMatrix(bogus))
 
 
 def test_pythagoras_rejects_non_representation():

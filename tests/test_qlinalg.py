@@ -52,6 +52,24 @@ def frob(M: QMatrix) -> float:
 # inner product
 
 
+def test_norms_of_entries_beyond_the_square_root_of_the_largest_double():
+    # the squares overflow; the norm is summed again after scaling
+    v = QVector(np.ones((3, 4)) * 1e160)
+    assert v.norm() == pytest.approx(np.sqrt(12) * 1e160, rel=1e-15)
+    M = QMatrix(np.ones((2, 3, 4)) * 1e160)
+    assert M.frobenius_norm() == pytest.approx(np.sqrt(24) * 1e160, rel=1e-15)
+    assert M.entry_moduli() == pytest.approx(np.full((2, 3), 2e160), rel=1e-15)
+
+
+def test_norms_of_ordinary_entries_are_the_plain_sum():
+    # no rescaling when the sum of squares is finite: the same bits as ever
+    rng = np.random.default_rng(62)
+    for x in (random_vector(5, rng), random_matrix(3, 4, rng)):
+        a, b = x.split
+        plain = float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
+        assert (x.norm() if isinstance(x, QVector) else x.frobenius_norm()) == plain
+
+
 def test_inner_right_linearity_on_basis():
     q = Quaternion(1, 0, 2, 0)  # 1 + 2j
     u = e(2, 0)
@@ -377,6 +395,23 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(QMatrix(comps))
 
 
+def test_herm_eig_rejects_huge_non_hermitian():
+    # moduli near 1e160 would overflow if squared, and the drift read inf
+    # against an inf scale; it must still be named
+    M = QMatrix.from_real(np.array([[1.0, 5.0], [0.0, 1.0]]) * 1e160)
+    with pytest.raises(ValueError, match=r"not Hermitian: entry \(\d, \d\) "
+                       r"differs from its mirror by 5\.000e\+160 against "
+                       r"scale 5\.000e\+160"):
+        herm_eig(M)
+
+
+def test_pairing_failure_prints_plain_floats():
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        _validate_pairing(np.array([1.0, 2.0]), "eigen")
+    assert str(info.value) == ("embedded eigen spectrum failed to pair at "
+                               "position 0: 1.0 vs 2.0")
+
+
 def test_herm_eig_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
         herm_eig(QMatrix.zeros(2, 3))
@@ -583,8 +618,25 @@ def test_solve_min_norm_minimality():
 
 def test_solve_min_norm_rejects_off_range():
     M = QMatrix([[ONE, Quaternion()], [ONE, Quaternion()]])  # range = span(e1+e2)
-    with pytest.raises(ValueError, match="not in the range"):
+    with pytest.raises(ValueError, match="column 0 is not in the range"):
         solve_min_norm(M, QVector([0.0, 1.0]))
+    V = QMatrix([[ONE, ONE, Quaternion()], [ONE, Quaternion(), ONE]])
+    with pytest.raises(ValueError, match="column 1 is not in the range"):
+        solve_min_norm(M, V)
+
+
+def test_solve_min_norm_at_a_scale_whose_squares_overflow():
+    v = QVector(np.ones((2, 4)) * 1e160)
+    x = solve_min_norm(QMatrix.identity(2), v)
+    assert x.norm() == pytest.approx(v.norm(), rel=1e-15)
+    M = QMatrix([[ONE, Quaternion()], [ONE, Quaternion()]])
+    with pytest.raises(ValueError, match="column 0 is not in the range"):
+        solve_min_norm(M, QVector([0.0, 1e160]))
+
+
+def test_solve_min_norm_checks_the_row_count():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_min_norm(QMatrix.identity(2), QMatrix.zeros(3, 2))
 
 
 # ---------------------------------------------------------------------------
