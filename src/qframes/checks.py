@@ -64,16 +64,6 @@ class CheckDef:
     fn: Callable[[np.random.Generator, Sizes], float]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    description: str
-    tolerance: float
-    max_residual: float | None
-    passed: bool
-    error: str | None = None
-
-
 CHECKS: list[CheckDef] = []
 
 
@@ -665,36 +655,26 @@ def run_checks(seed: int = 0, sizes: Sizes | None = None,
         if n > m:
             raise ValueError(f"sizes need n <= m, as m vectors span H^n only "
                              f"if m >= n; got ({n}, {m})")
-    outcomes: list[CheckOutcome] = []
+    entries: list[dict] = []
     for index, check in enumerate(CHECKS):
         rng = np.random.default_rng([seed, index])
         limit = tolerance if tolerance is not None else check.tolerance
         try:
             residual = float(check.fn(rng, size_list))
-            outcomes.append(CheckOutcome(
-                name=check.name, description=check.description,
-                tolerance=limit, max_residual=residual,
-                passed=bool(residual <= limit)))
+            error = None
         except Exception as exc:  # a blown identity is a failure, not a crash
-            outcomes.append(CheckOutcome(
-                name=check.name, description=check.description,
-                tolerance=limit, max_residual=None, passed=False,
-                error=f"{type(exc).__name__}: {exc}"))
-    failures = sum(1 for o in outcomes if not o.passed)
+            residual, error = None, f"{type(exc).__name__}: {exc}"
+        entry = {"name": check.name, "description": check.description,
+                 "max_residual": residual, "tolerance": limit,
+                 "passed": residual is not None and residual <= limit}
+        if error:
+            entry["error"] = error
+        entries.append(entry)
+    failures = sum(1 for entry in entries if not entry["passed"])
     return {
         "seed": int(seed),
         "sizes": [list(s) for s in size_list],
-        "checks": [
-            {
-                "name": o.name,
-                "description": o.description,
-                "max_residual": o.max_residual,
-                "tolerance": o.tolerance,
-                "passed": o.passed,
-                **({"error": o.error} if o.error else {}),
-            }
-            for o in outcomes
-        ],
+        "checks": entries,
         "failures": failures,
         "passed": failures == 0,
     }

@@ -23,9 +23,10 @@ import numpy as np
 
 from .frames import Frame, FrameBounds, FrameReport
 from .qlinalg import (
-    ORTHONORMAL_TOL,
     QMatrix,
     QVector,
+    _norm,
+    _require_orthonormal,
     complex_adjoint,
     sqrt_psd,
     unembed_vector,
@@ -113,11 +114,8 @@ def unitary_invariance_check(U: QMatrix, frame: Frame
     n = frame.dim
     if U.shape != (n, n):
         raise ValueError(f"expected a unitary on H^{n}, got shape {U.shape}")
-    for gram in (U.H @ U, U @ U.H):
-        drift = (gram - QMatrix.identity(n)).entry_moduli()
-        if np.any(drift > ORTHONORMAL_TOL):
-            raise ValueError("operator is not unitary: Gram drift "
-                             f"{float(drift.max()):.3e}")
+    for X in (U, U.H):  # U*U = I and UU* = I
+        _require_orthonormal(X, "operator is not unitary")
     before = frame.optimal_bounds()
     after = Frame.from_synthesis(U @ frame.synthesis).optimal_bounds()
     drift = max(abs(after.lower - before.lower) / before.lower,
@@ -138,10 +136,7 @@ def project_frame(basis: QMatrix, frame: Frame) -> tuple[Frame, FrameBounds]:
         raise ValueError(f"basis columns live in H^{n}, frame in H^{frame.dim}")
     if d < 1:
         raise ValueError("the subspace needs at least one basis column")
-    gram_drift = (basis.H @ basis - QMatrix.identity(d)).entry_moduli()
-    if np.any(gram_drift > ORTHONORMAL_TOL):
-        raise ValueError("basis columns are not orthonormal: Gram drift "
-                         f"{float(gram_drift.max()):.3e}")
+    _require_orthonormal(basis, "basis columns are not orthonormal")
     compressed = Frame.from_synthesis(basis.H @ frame.synthesis)
     return compressed, compressed.optimal_bounds()
 
@@ -152,12 +147,14 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     Row i of R, the top rows of chi(T2) projected onto the embedded kernel of
     T1, has norm max |(T2 x)_i| over unit x in ker(T1); the bottom rows are
     their j-partners and add nothing. The witness is the largest row, taken
-    back to H^m: T2 sends it to an entry of modulus that row norm.
+    back to H^m: T2 sends it to an entry of modulus that row norm. The row
+    norms rescale when their squares leave the double range, so the test
+    answers alike for T1 and T2 scaled by any power of two.
     """
     Wr = first._factors.Wr
     top = complex_adjoint(second.synthesis)[:second.dim]
     R = top - (top @ Wr) @ Wr.conj().T
-    norms = np.linalg.norm(R, axis=1)
+    norms = _norm(R, axis=1)
     s = second._factors.s
     norm2 = float(s[0]) if len(s) else 0.0
     i = int(np.argmax(norms))
@@ -167,7 +164,9 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     # row is small against its unprojected length.
     z = R[i].conj()
     z -= Wr @ (Wr.conj().T @ z)
-    return unembed_vector(z / np.linalg.norm(z))
+    # Summed by real plane, as np.linalg.norm(z) sums it, so the witness a
+    # caller prints keeps its bits.
+    return unembed_vector(z / _norm(z.real, z.imag))
 
 
 def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:

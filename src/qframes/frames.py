@@ -32,7 +32,8 @@ from .qlinalg import (
     QVector,
     _EmbeddedSvd,
     _embedded_svd,
-    _own,
+    _hermitian_outer,
+    _norm,
     _real_array,
     _vector_components,
     herm_eig,
@@ -84,11 +85,6 @@ class FrameReport:
             "residuals": dict(self.residuals),
             "spectrum": list(self.spectrum),
         }
-
-
-def _norms(x: QVector | QMatrix):
-    """The norm of a vector, or the norm of each column of a block."""
-    return x.norm() if isinstance(x, QVector) else x.column_norms()
 
 
 class Frame:
@@ -181,10 +177,7 @@ class Frame:
     @cached_property
     def frame_operator(self) -> QMatrix:
         """S = T T*, Hermitian positive semidefinite, exactly symmetrized."""
-        T = self.synthesis
-        S = T @ T.H
-        sa, sb = S.split
-        return _own(QMatrix, 0.5 * (sa + sa.conj().T), 0.5 * (sb - sb.T))
+        return _hermitian_outer(self.synthesis)
 
     @cached_property
     def _spectral(self) -> HermEig:
@@ -262,8 +255,9 @@ class Frame:
         coefficients that do not actually represent u, naming the first
         column that does not; a block is checked column by column.
         """
-        gap = _norms(self.reconstruct(offered) - u)
-        size = np.maximum(_norms(u), 1e-300)
+        # The norm of a vector, or of each column of a block.
+        gap = _norm(*(self.reconstruct(offered) - u).split, axis=0)
+        size = np.maximum(_norm(*u.split, axis=0), 1e-300)
         bad = np.flatnonzero(gap > REPRESENTATION_RTOL * size)
         if bad.size:
             k = int(bad[0])
@@ -271,8 +265,9 @@ class Frame:
                              f"represent the vector: relative residual "
                              f"{np.ravel(gap / size)[k]:.3e}")
         c = self.coefficients(u)
-        lhs = _norms(offered) ** 2
-        rhs = _norms(c) ** 2 + _norms(c - offered) ** 2
+        lhs = _norm(*offered.split, axis=0) ** 2
+        rhs = (_norm(*c.split, axis=0) ** 2
+               + _norm(*(c - offered).split, axis=0) ** 2)
         scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
         return PythagorasCheck(lhs=lhs, rhs=rhs, residual=np.abs(lhs - rhs) / scale)
 

@@ -110,12 +110,6 @@ def _split_from_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _components_from_split(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    comps = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-    comps.flags.writeable = False
-    return comps
-
-
 def _own(cls, a: np.ndarray, b: np.ndarray):
     """A QVector or QMatrix holding complex halves the library just allocated.
 
@@ -135,10 +129,100 @@ def _entry_moduli(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(np.abs(a), np.abs(b))
 
 
-class QVector:
-    """Column vector in H^n. Scalars multiply on the right: (u * q)[k] = u[k] * q."""
+_TINY = np.finfo(float).tiny
+
+
+def _norm(a: np.ndarray, b: np.ndarray | None = None,
+          axis: int | None = None):
+    """sqrt(sum |a|^2 + |b|^2) over the entries of a and of b, if given: one
+    float, or one norm per slice along axis (for 1-d arrays, every entry).
+
+    The sum of squares is the plain one, so a result whose sum is finite and
+    normal keeps its bits. A sum that overflowed, or fell below the normal
+    range, is formed again from the real components scaled by the power of
+    two that frexp reads off the largest of them; that scaling is exact.
+    """
+    parts = (a,) if b is None else (a, b)
+    whole = axis is None or a.ndim == 1
+    if whole:
+        sq = float(np.vdot(a, a).real)
+        if b is not None:
+            sq += float(np.vdot(b, b).real)
+        if _TINY <= sq < math.inf or not any(x.any() for x in parts):
+            return math.sqrt(sq)
+        parts, axis = [x.ravel() for x in parts], 0
+    else:
+        # The imaginary parts, thrown away, are inf * 0 for an infinite entry.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = (a.conj() * a).real.sum(axis=axis)
+            if b is not None:
+                sq += (b.conj() * b).real.sum(axis=axis)
+        if (_TINY <= sq.min(initial=math.inf)
+                and sq.max(initial=0.0) < math.inf):
+            return np.sqrt(sq)
+    planes = [p for x in parts for p in (x.real, x.imag)]
+    top = np.max([np.abs(p).max(axis=axis, initial=0.0) for p in planes],
+                 axis=0)
+    e = np.frexp(top)[1]
+    shift = np.expand_dims(-e, axis)
+    scaled = sum((np.ldexp(p, shift) ** 2).sum(axis=axis) for p in planes)
+    norms = np.ldexp(np.sqrt(scaled), e)
+    if whole:
+        return float(norms)
+    return np.where((sq >= _TINY) & (sq < math.inf), np.sqrt(sq), norms)
+
+
+class _Split:
+    """What QVector and QMatrix share: the complex halves a + b*j of their
+    entries, and the arithmetic that acts on both halves alike."""
 
     __slots__ = ("_a", "_b")
+
+    @property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._a, self._b
+
+    @property
+    def components(self) -> np.ndarray:
+        """Real components: shape + (4,), the last axis is (a0, a1, a2, a3)."""
+        a, b = self._a, self._b
+        comps = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
+        comps.flags.writeable = False
+        return comps
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._a.shape
+
+    def tolist(self) -> list:
+        return self.components.tolist()
+
+    def __add__(self, other):
+        return _own(type(self), self._a + other._a, self._b + other._b)
+
+    def __sub__(self, other):
+        return _own(type(self), self._a - other._a, self._b - other._b)
+
+    def __neg__(self):
+        return _own(type(self), -self._a, -self._b)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, Real):
+            scalar = float(scalar)
+            return _own(type(self), self._a * scalar, self._b * scalar)
+        return NotImplemented
+
+    def __rmul__(self, scalar):
+        # Real scalars commute with everything, so left and right agree.
+        if isinstance(scalar, Real):
+            return self * scalar
+        return NotImplemented
+
+
+class QVector(_Split):
+    """Column vector in H^n. Scalars multiply on the right: (u * q)[k] = u[k] * q."""
+
+    __slots__ = ()
 
     def __init__(self, entries):
         comps = _vector_components(entries)
@@ -163,21 +247,8 @@ class QVector:
         a[index] = 1.0
         return _own(cls, a, np.zeros(n, complex))
 
-    @property
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._a, self._b
-
-    @property
-    def components(self) -> np.ndarray:
-        """Real components, shape (n, 4), rows are (a0, a1, a2, a3)."""
-        return _components_from_split(self._a, self._b)
-
     def __len__(self) -> int:
         return self._a.shape[0]
-
-    @property
-    def shape(self) -> tuple[int]:
-        return self._a.shape
 
     def __getitem__(self, index: int) -> Quaternion:
         return Quaternion.from_complex_pair(self._a[index], self._b[index])
@@ -185,32 +256,11 @@ class QVector:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def tolist(self) -> list[list[float]]:
-        return self.components.tolist()
-
-    def __add__(self, other: "QVector") -> "QVector":
-        return _own(QVector, self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        return _own(QVector, self._a - other._a, self._b - other._b)
-
-    def __neg__(self) -> "QVector":
-        return _own(QVector, -self._a, -self._b)
-
     def __mul__(self, scalar) -> "QVector":
-        if isinstance(scalar, Real):
-            scalar = float(scalar)
-            return _own(QVector, self._a * scalar, self._b * scalar)
         if isinstance(scalar, Quaternion):
             z1, z2 = scalar.to_complex_pair()
             return _own(QVector, *_right_scale(self._a, self._b, z1, z2))
-        return NotImplemented
-
-    def __rmul__(self, scalar) -> "QVector":
-        # Real scalars commute with everything, so left and right agree.
-        if isinstance(scalar, Real):
-            return self * scalar
-        return NotImplemented
+        return _Split.__mul__(self, scalar)
 
     def __truediv__(self, scalar) -> "QVector":
         if isinstance(scalar, Real):
@@ -219,16 +269,16 @@ class QVector:
 
     def norm(self) -> float:
         """Euclidean norm sqrt(Re<u|u>) = l2 norm of all 4n real components."""
-        return _split_norm(self._a, self._b)
+        return _norm(self._a, self._b)
 
     def __repr__(self) -> str:
         return f"QVector(n={len(self)})"
 
 
-class QMatrix:
+class QMatrix(_Split):
     """Dense m-by-n matrix over H, acting on QVector by left multiplication."""
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ()
 
     def __init__(self, rows):
         # A numeric (m, n, 4) array is read in one step; any other array goes
@@ -293,19 +343,6 @@ class QMatrix:
             raise ValueError(f"columns live in H^{a.shape[0]}, expected H^{dim}")
         return _own(cls, a, b)
 
-    @property
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._a, self._b
-
-    @property
-    def components(self) -> np.ndarray:
-        """Real components, shape (m, n, 4)."""
-        return _components_from_split(self._a, self._b)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
     def __getitem__(self, key) -> Quaternion:
         i, k = key
         return Quaternion.from_complex_pair(self._a[i, k], self._b[i, k])
@@ -316,31 +353,11 @@ class QMatrix:
     def columns(self) -> list[QVector]:
         return [self.column(k) for k in range(self.shape[1])]
 
-    def tolist(self) -> list[list[list[float]]]:
-        return self.components.tolist()
-
     @property
     def H(self) -> "QMatrix":
         """Adjoint (conjugate transpose): split acts as (A, B) -> (A^H, -B^T)."""
         return _own(QMatrix, np.conjugate(self._a.T, order="C"),
                     np.negative(self._b.T, order="C"))
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return _own(QMatrix, self._a + other._a, self._b + other._b)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return _own(QMatrix, self._a - other._a, self._b - other._b)
-
-    def __neg__(self) -> "QMatrix":
-        return _own(QMatrix, -self._a, -self._b)
-
-    def __mul__(self, scalar) -> "QMatrix":
-        if isinstance(scalar, Real):
-            scalar = float(scalar)
-            return _own(QMatrix, self._a * scalar, self._b * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, QMatrix):
@@ -357,16 +374,14 @@ class QMatrix:
         return NotImplemented
 
     def frobenius_norm(self) -> float:
-        return _split_norm(self._a, self._b)
+        return _norm(self._a, self._b)
 
     def entry_moduli(self) -> np.ndarray:
         return _entry_moduli(self._a, self._b)
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of each column, as one array."""
-        a, b = self._a, self._b
-        return np.sqrt((a.conj() * a).real.sum(axis=0)
-                       + (b.conj() * b).real.sum(axis=0))
+        return _norm(self._a, self._b, axis=0)
 
     def __repr__(self) -> str:
         return f"QMatrix(shape={self.shape})"
@@ -396,19 +411,6 @@ def _split_inner(a1, b1, a2, b2) -> tuple[complex, complex]:
     z1 = np.vdot(a1, a2) + np.vdot(b2, b1)
     z2 = np.vdot(a1, b2) - np.vdot(a2, b1)
     return complex(z1), complex(z2)
-
-
-def _split_norm(a, b) -> float:
-    """sqrt(sum |a|^2 + |b|^2). Only a sum of squares that is not finite
-    (entries beyond about 1e154) is formed again, after scaling by the
-    largest entry."""
-    sq = float(np.vdot(a, a).real + np.vdot(b, b).real)
-    if math.isfinite(sq):
-        return math.sqrt(sq)
-    top = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
-    if not math.isfinite(top):  # an entry is inf or nan
-        return math.sqrt(sq)
-    return top * _split_norm(a / top, b / top)
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
@@ -756,9 +758,8 @@ def solve_min_norm(M: QMatrix, v: QVector | QMatrix,
     va, vb = v.split
     z = np.concatenate([va, -vb.conj()])  # embed_vector of each column
     coeffs = Wl.conj().T @ z
-    # Column norms by hypot, which cannot overflow.
-    resid = np.hypot.reduce(np.abs(z - Wl @ coeffs), axis=0, initial=0.0)
-    size = np.maximum(np.hypot.reduce(np.abs(z), axis=0, initial=0.0), 1e-300)
+    resid = _norm(z - Wl @ coeffs, axis=0)
+    size = np.maximum(_norm(z, axis=0), 1e-300)
     bad = np.flatnonzero(resid > RANGE_RTOL * size)
     if bad.size:
         k = int(bad[0])
@@ -777,14 +778,23 @@ def is_bounded_below(M: QMatrix, rtol: float | None = None) -> bool:
     return matrix_rank(M, rtol) == M.shape[1]
 
 
+def _require_orthonormal(B: QMatrix, what: str) -> None:
+    """Raise a ValueError starting with `what` unless B*B = I entrywise
+    within ORTHONORMAL_TOL, naming the Gram entry furthest off."""
+    drift = (B.H @ B - QMatrix.identity(B.shape[1])).entry_moduli()
+    if np.any(drift > ORTHONORMAL_TOL):
+        i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
+        raise ValueError(f"{what}: Gram entry ({i}, {k}) is off by "
+                         f"{drift[i, k]:.3e}")
+
+
+def _hermitian_outer(B: QMatrix) -> QMatrix:
+    """B B*, made exactly Hermitian."""
+    pa, pb = (B @ B.H).split
+    return _own(QMatrix, 0.5 * (pa + pa.conj().T), 0.5 * (pb - pb.T))
+
+
 def orthogonal_projector(B: QMatrix) -> QMatrix:
     """Projector B B* onto the column span of an orthonormal family B."""
-    gram = B.H @ B
-    drift = (gram - QMatrix.identity(B.shape[1])).entry_moduli()
-    if drift.size and np.any(drift > ORTHONORMAL_TOL):
-        i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
-        raise ValueError(f"columns are not orthonormal: Gram entry ({i}, {k}) "
-                         f"is off by {drift[i, k]:.3e}")
-    P = B @ B.H
-    pa, pb = P.split
-    return _own(QMatrix, 0.5 * (pa + pa.conj().T), 0.5 * (pb - pb.T))
+    _require_orthonormal(B, "columns are not orthonormal")
+    return _hermitian_outer(B)

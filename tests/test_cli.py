@@ -248,6 +248,16 @@ def test_equiv_same_frame(tmp_path):
     assert payload["residual"] <= 1e-8
 
 
+def test_equiv_same_frame_near_1e200(tmp_path):
+    # the rounding-level rows of the kernel test square past the largest double
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e200
+    write_json(tmp_path / "big.json", {"dim": 2, "vectors": vectors.tolist()})
+    res = run_cli(["equiv", "big.json", "big.json", "--json"], tmp_path)
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert json.loads(res.stdout)["relation"] == "equivalent"
+
+
 def test_equiv_reports_witness(tmp_path):
     write_json(tmp_path / "a.json", basis_frame(2, [0, 0, 1]))
     write_json(tmp_path / "b.json", basis_frame(2, [0, 1, 1]))

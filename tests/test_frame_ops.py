@@ -1,5 +1,7 @@
 """Operators acting on frames: images, projections, equivalence classes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,25 @@ def test_equivalence_relation_is_scale_invariant():
                 c = 2.0 ** k
                 assert are_equivalent(F(T1 * c), F(T2)).relation == relation
                 assert are_equivalent(F(T1), F(T2 * c)).relation == relation
+
+
+def test_equivalence_at_scales_whose_squares_leave_the_double_range():
+    # Near 2^664 the rounding-level rows of the kernel test square past the
+    # largest double; near 2^-560 the rows of an independent frame square
+    # below the smallest. Neither may change the relation.
+    rng = np.random.default_rng(63)
+    T, U = random_frame(2, 3, rng).synthesis, random_frame(2, 3, rng).synthesis
+    for k in (-990, -560, 0, 664, 996):
+        c = 2.0 ** k
+        F, G = Frame.from_synthesis(T * c), Frame.from_synthesis(U * c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert are_equivalent(F, F).relation == "equivalent", k
+            res = are_equivalent(F, G)
+            assert res.relation == "none", k
+            w = res.witness
+            assert (F.synthesis @ w).norm() \
+                <= KERNEL_RTOL * operator_norm(F.synthesis) * w.norm(), k
 
 
 def test_equivalence_to_dict_optional_keys():

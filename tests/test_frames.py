@@ -443,11 +443,17 @@ def test_pythagoras_check_takes_a_block():
 
 
 def test_pythagoras_rejects_non_representation():
+    # also at scales whose squares overflow or underflow, as a vector and
+    # as a one-column block
     fr = doubled_basis()
     u = e(2, 0)
     bogus = QVector([Quaternion(5), Quaternion(), Quaternion()])
-    with pytest.raises(ValueError, match="do not represent"):
-        fr.pythagoras_check(u, bogus)
+    for c in (1.0, 1e160, 1e-170):
+        for x, y in ((u * c, bogus * c),
+                     (QMatrix.from_columns([u * c]),
+                      QMatrix.from_columns([bogus * c]))):
+            with pytest.raises(ValueError, match="do not represent"):
+                fr.pythagoras_check(x, y)
 
 
 def test_pythagoras_rejects_wrong_length():

@@ -53,21 +53,30 @@ def frob(M: QMatrix) -> float:
 
 
 def test_norms_of_entries_beyond_the_square_root_of_the_largest_double():
-    # the squares overflow; the norm is summed again after scaling
-    v = QVector(np.ones((3, 4)) * 1e160)
-    assert v.norm() == pytest.approx(np.sqrt(12) * 1e160, rel=1e-15)
-    M = QMatrix(np.ones((2, 3, 4)) * 1e160)
-    assert M.frobenius_norm() == pytest.approx(np.sqrt(24) * 1e160, rel=1e-15)
-    assert M.entry_moduli() == pytest.approx(np.full((2, 3), 2e160), rel=1e-15)
+    # the squares overflow (at 1e160) or underflow (at 1e-170); the norm is
+    # summed again after scaling by a power of two
+    for c in (1e160, 1e-170):
+        v = QVector(np.ones((3, 4)) * c)
+        assert v.norm() == pytest.approx(np.sqrt(12) * c, rel=1e-15)
+        M = QMatrix(np.ones((2, 3, 4)) * c)
+        assert M.frobenius_norm() == pytest.approx(np.sqrt(24) * c, rel=1e-15)
+        assert M.column_norms() == pytest.approx(np.full(3, np.sqrt(8) * c),
+                                                 rel=1e-15)
+        assert M.entry_moduli() == pytest.approx(np.full((2, 3), 2 * c),
+                                                 rel=1e-15)
 
 
 def test_norms_of_ordinary_entries_are_the_plain_sum():
     # no rescaling when the sum of squares is finite: the same bits as ever
     rng = np.random.default_rng(62)
-    for x in (random_vector(5, rng), random_matrix(3, 4, rng)):
+    v, M = random_vector(5, rng), random_matrix(3, 4, rng)
+    for x, norm in ((v, v.norm()), (M, M.frobenius_norm())):
         a, b = x.split
-        plain = float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
-        assert (x.norm() if isinstance(x, QVector) else x.frobenius_norm()) == plain
+        assert norm == float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
+    a, b = M.split
+    plain = np.sqrt((a.conj() * a).real.sum(axis=0)
+                    + (b.conj() * b).real.sum(axis=0))
+    assert np.array_equal(M.column_norms(), plain)
 
 
 def test_inner_right_linearity_on_basis():
@@ -761,6 +770,27 @@ def test_results_own_their_halves():
         for half in w.split:
             assert half.dtype == complex and not half.flags.writeable
     assert np.array_equal((A @ u).split[0], (A @ QMatrix.from_columns([u])).split[0][:, 0])
+
+
+def test_scalar_actions_of_vectors_and_matrices():
+    # real scalars act from either side and keep the type; a quaternion acts
+    # on a vector from the right only, and a matrix takes neither a
+    # quaternion nor a division
+    rng = np.random.default_rng(98)
+    A, u = random_matrix(2, 3, rng), random_vector(3, rng)
+    q = Quaternion(*rng.standard_normal(4))
+    for x in (A, u):
+        for y in (2 * x, x * 2, x + x, x - x, -x):
+            assert type(y) is type(x)
+        assert np.array_equal((2 * x).components, (x * 2.0).components)
+        with pytest.raises(TypeError):
+            q * x
+    assert np.array_equal((u / 2).components, (u * 0.5).components)
+    assert (u * q)[0].components == pytest.approx((u[0] * q).components,
+                                                  rel=1e-14)
+    for bad in (lambda: A * q, lambda: A / 2, lambda: u / q):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @pytest.mark.parametrize("build", [
