@@ -581,8 +581,7 @@ def _equivalence(rng, sizes) -> float:
         verdict = are_equivalent(F, G)
         if verdict.relation != "equivalent" or verdict.intertwiner is None:
             return 1.0
-        scale = operator_norm(G.synthesis)
-        worst = max(worst, _rel(verdict.residual, scale))
+        worst = max(worst, verdict.residual)
         # reflexivity ties a frame to itself through the identity
         self_verdict = are_equivalent(F, F)
         if self_verdict.relation != "equivalent":

@@ -9,14 +9,20 @@ kernel, and the connecting operator is recovered as T2 pinv(T1).
 Every test reads the thin SVD of the embedding that each Frame caches
 (Frame._factors). Its right factor Wr spans the row space of chi(T1), so
 I - Wr Wr* projects onto the embedded kernel of T1, and T2 annihilates
-ker(T1) exactly when the rows of chi(T2) projected that way vanish. The
-same factors give pinv(T1), and the largest singular value of T2 is the
-scale the rows are measured against. A frame is factored once, whichever
-pair and direction it takes part in.
+ker(T1) exactly when the rows of chi(T2) projected that way vanish against
+||T2||. The same factors give pinv(T1). ||T2|| is bounded first by the
+Frobenius norm, ||T2||_F / sqrt(k) <= ||T2|| <= ||T2||_F with k = min(dim,
+count), and T2 is factored only when the largest row lands in the band
+between the two, so a frame whose kernel is not tested is never factored.
+A canonical dual S^-1 T is pinv(T)*, with T's singular vectors, and reads
+its factors off its frame's. A frame is factored at most once, whichever
+pair and direction it takes part in. The intertwiner residual is relative
+to the longest target vector, so it does not scale with the frames.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,9 +56,10 @@ class IntertwinerResult:
     row by row: the inclusion fails when some entry (T2 x)_i exceeds
     KERNEL_RTOL * ||T2|| in modulus for a unit x in ker(T1). When it holds,
     `operator` holds T2 pinv(T1) and `residual` the worst per-vector error
-    max_i ||L u_i - v_i||. When it does not, `witness` holds a unit kernel
-    vector of T1 that T2 fails to annihilate: the one that makes an entry
-    of T2 x largest.
+    relative to the longest target, max_i ||L u_i - v_i|| / max_i ||v_i||
+    (0 when every v_i is 0), so it does not scale with the frames. When it
+    does not, `witness` holds a unit kernel vector of T1 that T2 fails to
+    annihilate: the one that makes an entry of T2 x largest.
     """
 
     operator: QMatrix | None
@@ -146,20 +153,29 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
 
     Row i of R, the top rows of chi(T2) projected onto the embedded kernel of
     T1, has norm max |(T2 x)_i| over unit x in ker(T1); the bottom rows are
-    their j-partners and add nothing. The witness is the largest row, taken
-    back to H^m: T2 sends it to an entry of modulus that row norm. The row
-    norms rescale when their squares leave the double range, so the test
-    answers alike for T1 and T2 scaled by any power of two.
+    their j-partners and add nothing. T2 annihilates ker(T1) when the largest
+    row norm r is at most KERNEL_RTOL * ||T2||. Since ||T2||_F / sqrt(k) <=
+    ||T2|| <= ||T2||_F for k = min(dim, count), r above the upper bound
+    escapes and r below the lower one annihilates without factoring T2; only
+    between the two is ||T2|| read from its SVD. The witness is the largest
+    row, taken back to H^m: T2 sends it to an entry of modulus r. The norms
+    rescale when their squares leave the double range, so the test answers
+    alike for T1 and T2 scaled by any power of two.
     """
     Wr = first._factors.Wr
-    top = complex_adjoint(second.synthesis)[:second.dim]
+    T2 = second.synthesis
+    top = complex_adjoint(T2)[:second.dim]
     R = top - (top @ Wr) @ Wr.conj().T
     norms = _norm(R, axis=1)
-    s = second._factors.s
-    norm2 = float(s[0]) if len(s) else 0.0
     i = int(np.argmax(norms))
-    if norms[i] <= KERNEL_RTOL * max(norm2, 1e-300):
+    r = norms[i]
+    # The floor on ||T2|| keeps both bounds.
+    fro = max(T2.frobenius_norm(), 1e-300)
+    if r <= KERNEL_RTOL * fro / math.sqrt(max(min(T2.shape), 1)):
         return None
+    if r <= KERNEL_RTOL * fro:
+        if r <= KERNEL_RTOL * max(second._factors.s[0], 1e-300):
+            return None
     # One more projection keeps the witness in ker(T1) to rounding when the
     # row is small against its unprojected length.
     z = R[i].conj()
@@ -179,7 +195,9 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
         return IntertwinerResult(operator=None, residual=None, witness=witness)
     T1, T2 = first.synthesis, second.synthesis
     L = T2 @ first._factors.pinv()
-    residual = float((L @ T1 - T2).column_norms().max(initial=0.0))
+    gap = (L @ T1 - T2).column_norms().max(initial=0.0)
+    size = T2.column_norms().max(initial=0.0)
+    residual = float(gap / size) if size else 0.0
     return IntertwinerResult(operator=L, residual=residual, witness=None)
 
 

@@ -20,6 +20,7 @@ or a block, and a QVector is the one-column case of the same products.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -176,16 +177,41 @@ class Frame:
 
     @cached_property
     def frame_operator(self) -> QMatrix:
-        """S = T T*, Hermitian positive semidefinite, exactly symmetrized."""
-        return _hermitian_outer(self.synthesis)
+        """S = T T*, Hermitian positive semidefinite, exactly symmetrized.
+
+        Raises a ValueError when S leaves the double range. Its diagonal
+        holds the squared row norms of T, and by Cauchy-Schwarz it bounds
+        every other entry, so a finite diagonal means a finite S.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _hermitian_outer(self.synthesis)
+        bad = np.flatnonzero(~np.isfinite(S.split[0].diagonal()))
+        if bad.size:
+            raise ValueError(f"frame bounds exceed the double range: entry "
+                             f"({bad[0]}, {bad[0]}) of S = T T* overflows")
+        return S
 
     @cached_property
     def _spectral(self) -> HermEig:
         return herm_eig(self.frame_operator)
 
+    # The frame whose canonical dual this one is, as a weak reference: a
+    # strong one would tie the two frames into a cycle.
+    _primal: weakref.ref | None = None
+
     @cached_property
     def _factors(self) -> _EmbeddedSvd:
-        """Thin SVD of the embedding of T, cut at twice the rank of T."""
+        """Thin SVD of the embedding of T, cut at twice the rank of T.
+
+        A canonical dual S^-1 T is pinv(T)*, so while its frame is alive and
+        that frame's cut kept all 2n columns, it reads its factors off the
+        frame's instead of factoring its own T.
+        """
+        primal = self._primal() if self._primal is not None else None
+        if primal is not None:
+            factors = primal._factors
+            if len(factors.s) == 2 * self.dim:
+                return factors.pinv_adjoint()
         return _embedded_svd(self.synthesis, None)
 
     @property
@@ -283,7 +309,9 @@ class Frame:
 
     @cached_property
     def _dual(self) -> "Frame":
-        return Frame.from_synthesis(self._inverse_operator @ self.synthesis)
+        dual = Frame.from_synthesis(self._inverse_operator @ self.synthesis)
+        dual._primal = weakref.ref(self)
+        return dual
 
     @cached_property
     def _parseval(self) -> "Frame":

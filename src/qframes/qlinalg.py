@@ -679,6 +679,12 @@ class _EmbeddedSvd(NamedTuple):
         """Moore-Penrose pseudoinverse of M, folded back from that of chi(M)."""
         return _fold((self.Wr / self.s) @ self.Wl.conj().T)
 
+    def pinv_adjoint(self) -> "_EmbeddedSvd":
+        """The same factorization of pinv(M)* = Wl diag(1/s) Wr*: the singular
+        vectors are M's, and the columns run reversed so s stays descending."""
+        return _EmbeddedSvd(self.Wl[:, ::-1], 1.0 / self.s[::-1],
+                            self.Wr[:, ::-1], self.null)
+
 
 def _embedded_svd(M: QMatrix, rtol: float | None,
                   full_matrices: bool = False) -> _EmbeddedSvd:

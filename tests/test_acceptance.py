@@ -245,8 +245,7 @@ def test_criterion_08_equivalence():
         ok &= forward.relation == "equivalent"
         ok &= backward.relation == "equivalent"
         ok &= matrix_rank(forward.intertwiner) == n
-        scale = operator_norm(image.synthesis)
-        worst = max(worst, forward.residual / scale, backward.residual / scale)
+        worst = max(worst, forward.residual, backward.residual)
         M = random_invertible(n, rng)
         third = Frame([M @ v for v in image], dim=n)
         ok &= are_equivalent(fr, third).relation == "equivalent"

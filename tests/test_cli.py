@@ -150,6 +150,17 @@ def test_info_rank_deficient_family(tmp_path):
     assert "lower_formulas" not in report
 
 
+def test_info_frame_beyond_the_double_range(tmp_path):
+    # S = T T* near 1e400 does not fit in a double: one error line, no warning
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e200
+    write_json(tmp_path / "big.json", {"dim": 2, "vectors": vectors.tolist()})
+    res = run_cli(["info", "big.json"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: frame bounds exceed the double range")
+    assert res.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # dual / parseval / coeffs / reconstruct round trips
 
@@ -256,6 +267,16 @@ def test_equiv_same_frame_near_1e200(tmp_path):
     assert res.returncode == 0
     assert res.stderr == ""
     assert json.loads(res.stdout)["relation"] == "equivalent"
+
+
+def test_equiv_residual_is_relative_near_1e200(tmp_path):
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e200
+    write_json(tmp_path / "big.json", {"dim": 2, "vectors": vectors.tolist()})
+    res = run_cli(["equiv", "big.json", "big.json"], tmp_path)
+    assert res.returncode == 0
+    line, = (x for x in res.stdout.splitlines()
+             if x.startswith("intertwiner residual: "))
+    assert float(line.split(": ")[1]) <= 1e-12
 
 
 def test_equiv_reports_witness(tmp_path):

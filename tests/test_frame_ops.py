@@ -19,10 +19,13 @@ from qframes.frames import Frame
 from qframes.qlinalg import (
     QMatrix,
     QVector,
+    _norm,
+    complex_adjoint,
     inner,
     kernel_basis,
     matrix_rank,
     operator_norm,
+    unembed_vector,
 )
 from qframes.quaternion import I, J, K, Quaternion
 from qframes.sampling import (
@@ -236,9 +239,10 @@ def test_intertwiner_witness_near_the_threshold():
         assert (T2 @ w).norm() > KERNEL_RTOL * operator_norm(T2)
 
 
-def test_intertwiner_is_two_lapack_calls(lapack_svd_calls):
-    # each frame is factored once, by one thin SVD of its embedding: the
-    # kernel test, the witness, ||T2|| and pinv(T1) all read those factors
+def test_a_frame_family_is_factored_once(lapack_svd_calls):
+    # a frame is factored by one thin SVD of its embedding, and only when its
+    # kernel is tested: ||T2|| is bounded by the Frobenius norm, and a
+    # canonical dual reads its frame's factors
     rng = np.random.default_rng(59)
     T1 = random_frame(3, 8, rng).synthesis
     T2 = random_frame(3, 8, rng).synthesis
@@ -250,22 +254,93 @@ def test_intertwiner_is_two_lapack_calls(lapack_svd_calls):
 
     first, image, other = fresh()
     assert intertwiner(first, image).operator is not None
-    assert lapack_svd_calls == ["thin", "thin"]
+    assert lapack_svd_calls == ["thin"]
     lapack_svd_calls.clear()
     first, image, other = fresh()
     assert intertwiner(first, other).witness is not None
-    assert lapack_svd_calls == ["thin", "thin"]
+    assert lapack_svd_calls == ["thin"]
     lapack_svd_calls.clear()
     first, image, other = fresh()
     assert are_equivalent(first, image).relation == "equivalent"
     assert lapack_svd_calls == ["thin", "thin"]
-    # a second pair sharing the first frame factors only the new frame
+    # a second pair sharing the first frame factors nothing new
     assert are_equivalent(first, other).relation == "none"
-    assert lapack_svd_calls == ["thin", "thin", "thin"]
+    assert lapack_svd_calls == ["thin", "thin"]
     lapack_svd_calls.clear()
     first, image, other = fresh()
     assert are_equivalent(first, other).relation == "none"
-    assert lapack_svd_calls == ["thin", "thin"]
+    assert lapack_svd_calls == ["thin"]
+    lapack_svd_calls.clear()
+    first, image, other = fresh()
+    dual = first.canonical_dual()
+    assert are_equivalent(first, dual).relation == "equivalent"
+    assert lapack_svd_calls == ["thin"]
+    lapack_svd_calls.clear()
+    # the dual's factors are cached, and its own dual reads them
+    assert are_equivalent(dual, dual.canonical_dual()).relation == "equivalent"
+    assert lapack_svd_calls == []
+
+
+def _direct_kernel_escape(first, second):
+    """The kernel test with ||T2|| taken from a LAPACK SVD of chi(T2) every
+    time: (the witness or None, r / (KERNEL_RTOL ||T2||))."""
+    Wr = first._factors.Wr
+    chi2 = complex_adjoint(second.synthesis)
+    top = chi2[:second.dim]
+    R = top - (top @ Wr) @ Wr.conj().T
+    norms = _norm(R, axis=1)
+    i = int(np.argmax(norms))
+    sigma = np.linalg.svd(chi2, compute_uv=False)[0]
+    threshold = KERNEL_RTOL * max(sigma, 1e-300)
+    if norms[i] <= threshold:
+        return None, norms[i] / threshold
+    z = R[i].conj()
+    z -= Wr @ (Wr.conj().T @ z)
+    return unembed_vector(z / _norm(z.real, z.imag)), norms[i] / threshold
+
+
+def test_frobenius_bounds_give_the_direct_verdict():
+    # T2 = L T1 + t E with the rows of E in ker(T1): the largest projected
+    # row r runs from 0.5 to 2 times KERNEL_RTOL ||T2||, below, inside and
+    # above the band [||T2||_F / sqrt(k), ||T2||_F] where the SVD is read
+    rng = np.random.default_rng(66)
+    regions = set()
+    for n, m in ((3, 8), (4, 6)):
+        T1 = random_frame(n, m, rng).synthesis
+        A = random_invertible(n, rng) @ T1
+        E = random_matrix(n, m - n, rng) @ kernel_basis(T1).H
+        # the projected rows of E have the largest norm row_E
+        row_e = _norm(complex_adjoint(E)[:n], axis=1).max()
+        for ratio in np.geomspace(0.5, 2.0, 12):
+            T2 = A + E * (ratio * KERNEL_RTOL * operator_norm(A) / row_e)
+            for k in (-990, 0, 996):
+                c = 2.0 ** k
+                F1 = Frame.from_synthesis(T1 * c)
+                F2 = Frame.from_synthesis(T2 * c)
+                forward, r_forward = _direct_kernel_escape(F1, F2)
+                backward, r_backward = _direct_kernel_escape(F2, F1)
+                for r in (r_forward, r_backward):
+                    # neither rule may sit where rounding decides it
+                    assert abs(r - 1.0) > 1e-12
+                # r / KERNEL_RTOL against the band of the forward test
+                row = r_forward * operator_norm(F2.synthesis)
+                fro = F2.synthesis.frobenius_norm()
+                regions.add(0 if row <= fro / np.sqrt(n)
+                            else 2 if row > fro else 1)
+                res = are_equivalent(F1, F2)
+                if forward is not None:
+                    expected, witness = "none", forward
+                elif backward is not None:
+                    expected, witness = "one-sided", backward
+                else:
+                    expected, witness = "equivalent", None
+                assert res.relation == expected, (n, ratio, k)
+                if witness is None:
+                    assert res.witness is None
+                else:
+                    assert np.array_equal(res.witness.components,
+                                          witness.components)
+    assert regions == {0, 1, 2}
 
 
 def test_intertwiner_requires_matching_counts():

@@ -1,16 +1,20 @@
 """Frame calculus: bounds, coefficients, duals, Parseval form, transport."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qframes.frame_ops import are_equivalent
 from qframes.frames import FRAME_RTOL, Frame, PythagorasCheck
 from qframes.qlinalg import (
     QMatrix,
     QVector,
+    complex_adjoint,
     herm_eig,
     kernel_basis,
     operator_norm,
@@ -545,6 +549,55 @@ def test_derived_frames_are_computed_once():
                           (fr._inv_sqrt_operator @ fr.synthesis).components)
     assert np.array_equal(dual.synthesis.components,
                           (fr._inverse_operator @ fr.synthesis).components)
+
+
+def test_dual_reads_its_frame_factors_through_a_weak_reference(
+        lapack_svd_calls):
+    # the canonical dual S^-1 T is pinv(T)*, so it shares T's singular
+    # vectors; it keeps its frame only weakly, so no cycle holds the frame
+    rng = np.random.default_rng(67)
+    T = random_frame(3, 8, rng).synthesis
+    other = Frame.from_synthesis(random_frame(3, 8, rng).synthesis)
+    gc.disable()
+    try:
+        fr = Frame.from_synthesis(T)
+        dual = fr.canonical_dual()
+        factors = dual._factors
+        assert lapack_svd_calls == ["thin"]
+        assert np.array_equal(dual.canonical_dual()._factors.Wr,
+                              fr._factors.Wr)
+        parent = weakref.ref(fr)
+        del fr
+        assert parent() is None
+    finally:
+        gc.enable()
+    _, sigma, Wrh = np.linalg.svd(complex_adjoint(dual.synthesis),
+                                  full_matrices=False)
+    Wr = Wrh[:6].conj().T
+    assert np.abs(factors.Wr @ factors.Wr.conj().T
+                  - Wr @ Wr.conj().T).max() <= 1e-12
+    assert np.abs(factors.s - sigma[:6]).max() <= 1e-12 * sigma[0]
+    assert ((factors.pinv() - T.H).frobenius_norm()
+            <= 1e-12 * T.frobenius_norm())
+    # a dual whose frame is gone factors its own T, to the same relations
+    orphan = Frame.from_synthesis(T).canonical_dual()
+    lapack_svd_calls.clear()
+    assert orphan._factors.s.shape == factors.s.shape
+    assert lapack_svd_calls == ["thin"]
+    for d in (dual, orphan):
+        assert are_equivalent(d, Frame.from_synthesis(T)).relation \
+            == "equivalent"
+        assert are_equivalent(d, other).relation == "none"
+
+
+def test_frame_operator_beyond_the_double_range():
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e200
+    fr = Frame(vectors, dim=2)
+    with pytest.raises(ValueError, match="frame bounds exceed the double "
+                                         "range: entry \\(0, 0\\)"):
+        fr.report()
+    # a frame near 1e150 still fits: S is near 1e300
+    assert Frame(vectors * 1e-50, dim=2).report().status == "frame"
 
 
 # ---------------------------------------------------------------------------
