@@ -195,8 +195,12 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
         return IntertwinerResult(operator=None, residual=None, witness=witness)
     T1, T2 = first.synthesis, second.synthesis
     L = T2 @ first._factors.pinv()
-    gap = (L @ T1 - T2).column_norms().max(initial=0.0)
-    size = T2.column_norms().max(initial=0.0)
+    # The gaps and the target sizes, column by column, in one norm call.
+    ga, gb = (L @ T1 - T2).split
+    ta, tb = T2.split
+    norms = _norm(np.hstack([ga, ta]), np.hstack([gb, tb]), axis=0)
+    gap = norms[:first.count].max(initial=0.0)
+    size = norms[first.count:].max(initial=0.0)
     residual = float(gap / size) if size else 0.0
     return IntertwinerResult(operator=L, residual=residual, witness=None)
 

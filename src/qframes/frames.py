@@ -31,6 +31,7 @@ from .qlinalg import (
     HermEig,
     QMatrix,
     QVector,
+    _TINY,
     _EmbeddedSvd,
     _embedded_svd,
     _hermitian_outer,
@@ -181,14 +182,24 @@ class Frame:
 
         Raises a ValueError when S leaves the double range. Its diagonal
         holds the squared row norms of T, and by Cauchy-Schwarz it bounds
-        every other entry, so a finite diagonal means a finite S.
+        every other entry, so a finite diagonal means a finite S, and a
+        diagonal below the normal range means that S, and with it every
+        bound, has lost its digits, or underflowed to 0 for a family that
+        is not 0.
         """
+        T = self.synthesis
         with np.errstate(over="ignore", invalid="ignore"):
-            S = _hermitian_outer(self.synthesis)
-        bad = np.flatnonzero(~np.isfinite(S.split[0].diagonal()))
+            S = _hermitian_outer(T)
+        diagonal = S.split[0].diagonal()
+        bad = np.flatnonzero(~np.isfinite(diagonal))
         if bad.size:
             raise ValueError(f"frame bounds exceed the double range: entry "
                              f"({bad[0]}, {bad[0]}) of S = T T* overflows")
+        if (diagonal.real.max(initial=0.0) < _TINY
+                and (T.split[0].any() or T.split[1].any())):
+            raise ValueError(f"frame bounds fall below the double range: "
+                             f"every diagonal entry of S = T T* is below "
+                             f"{_TINY:.3e}")
         return S
 
     @cached_property

@@ -16,16 +16,18 @@ back to the nearest quaternionic matrix, and ranks read the singular values
 alone. The kernel of chi(M) is the embedded kernel of M, so a kernel basis
 needs only the null columns of one full SVD. Quaternionic eigenvectors and
 singular vectors are recovered only on request: a simple value takes one
-embedded column of its pair, a degenerate group is orthonormalized inside
-itself, and at most two Newton-Schulz steps make the columns orthonormal to
-rounding; the polish stops as soon as they are.
+embedded column of its pair, a group of zeros (a null space) is taken in
+one block from the polar factor of a sketch of it, a cluster of close
+nonzero values is orthonormalized inside itself vector by vector, and at
+most two Newton-Schulz steps make the columns orthonormal to rounding; the
+polish stops as soon as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
@@ -41,6 +43,7 @@ ORTHONORMAL_TOL = 1e-10  # entrywise check for orthonormal-column inputs
 RANK_RTOL = 1e-12        # rank cutoff is max(m, n) * RANK_RTOL * sigma_max
 RANGE_RTOL = 1e-8        # admissible relative distance of a RHS from the range
 POLISH_TOL = 1e-14       # entrywise U*U - I drift at which the polish stops
+NULL_SKETCH_FLOOR = 1e-4  # least sigma_min / sigma_max of a sketched null block
 
 __all__ = [
     "QVector", "QMatrix", "HermEig", "QSvd",
@@ -525,18 +528,62 @@ def _group_basis(C: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
+def _polar(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polar factor Wl Wr* of a complex block P, the orthonormal factor
+    nearest to it, and the singular values, from one LAPACK SVD.
+
+    The factor is P (P* P)^(-1/2). When P* P has the block structure of an
+    embedding, so does its inverse root, and the factor keeps the pairing of
+    P: it is chi(Q) for P = chi(X), and [Z, partner(Z)] for P = [Y,
+    partner(Y)], which is how a j-closed column span is sketched.
+    """
+    Wl, s, Wrh = np.linalg.svd(P, full_matrices=False)
+    return Wl @ Wrh, s
+
+
+@lru_cache(maxsize=16)
+def _sketch(k: int) -> np.ndarray:
+    """A fixed complex Gaussian 2k x k test matrix, read-only."""
+    G = np.random.default_rng(k).standard_normal((2 * k, 2 * k)).view(complex)
+    G.setflags(write=False)
+    return G
+
+
+def _null_basis(C: np.ndarray) -> np.ndarray:
+    """k embedded vectors, orthonormal in the quaternionic inner product,
+    spanning the j-closed column space of the orthonormal 2n x 2k block C.
+
+    The sketch Y = C G has k columns, and P = [Y, partner(Y)] spans the space
+    of C whenever its quaternionic columns are independent; the first k
+    columns of the polar factor of P are then the basis, in one block. A
+    sketch whose P is more ill-conditioned than NULL_SKETCH_FLOOR would lose
+    digits of the span, and the block is orthonormalized column by column
+    instead.
+    """
+    k = C.shape[1] // 2
+    Y = C @ _sketch(k)
+    Q, s = _polar(np.hstack([Y, _partner(Y)]))
+    if s[-1] < NULL_SKETCH_FLOOR * s[0]:
+        return _group_basis(C, k)
+    return Q[:, :k]
+
+
 def _recover(W: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
     """One embedded quaternionic vector per value from the doubled columns W.
 
     The j-partner of an embedded eigenvector lies in its own eigenspace, so
     vectors of different groups are already quaternion-orthogonal: a simple
     value takes one column of its pair, and only degenerate groups are
-    orthonormalized, inside the group.
+    orthonormalized, inside the group. A group of zeros, a null space, has
+    no order to keep and is taken in one block from a polar factor; a group
+    of close nonzero values is taken vector by vector, in value order.
     """
     Z = W[:, 0::2].copy()
     for start, stop in _group_values(values, scale):
         if stop - start > 1:
-            Z[:, start:stop] = _group_basis(W[:, 2 * start:2 * stop], stop - start)
+            C = W[:, 2 * start:2 * stop]
+            Z[:, start:stop] = (_group_basis(C, stop - start)
+                                if values[start:stop].any() else _null_basis(C))
     return Z
 
 
@@ -705,7 +752,7 @@ def svd(M: QMatrix) -> QSvd:
     together, as one vector (v, u) of H^(n+m), so the columns chosen for v
     and for u are the ones LAPACK paired. The values grouped with zero and
     the tail of the larger side span the null spaces of M and M*, which are
-    recovered on each side alone.
+    recovered on each side alone, each in one block from a polar factor.
     """
     m, n = M.shape
     Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M))
@@ -747,7 +794,9 @@ def pinv(M: QMatrix, rtol: float | None = None) -> QMatrix:
 def kernel_basis(M: QMatrix, rtol: float | None = None) -> QMatrix:
     """Orthonormal basis of the right null space, shape n x (n - rank).
 
-    Only the embedded kernel of chi(M) is recovered, as one group of zeros.
+    Only the embedded kernel of chi(M) is recovered, as one group of zeros:
+    a full SVD gives its null columns, and the thin SVD of one sketched
+    block of them gives the basis.
     """
     null = _embedded_svd(M, rtol, full_matrices=True).null
     return _polish(_recover(null, np.zeros(null.shape[1] // 2), 0.0))
@@ -795,9 +844,15 @@ def _require_orthonormal(B: QMatrix, what: str) -> None:
 
 
 def _hermitian_outer(B: QMatrix) -> QMatrix:
-    """B B*, made exactly Hermitian."""
+    """B B*, made exactly Hermitian.
+
+    Each term is halved before the sum, so an entry that fits in a double
+    stays finite; in the normal range halving is exact, and the result has
+    the bits of 0.5 * (P + P*).
+    """
     pa, pb = (B @ B.H).split
-    return _own(QMatrix, 0.5 * (pa + pa.conj().T), 0.5 * (pb - pb.T))
+    pa, pb = 0.5 * pa, 0.5 * pb
+    return _own(QMatrix, pa + pa.conj().T, pb - pb.T)
 
 
 def orthogonal_projector(B: QMatrix) -> QMatrix:

@@ -2,8 +2,10 @@
 
 Every function takes a numpy Generator so callers control determinism.
 Random quaternions draw their four components as independent standard
-normals; random unitaries come out of the eigendecomposition of a random
-Hermitian matrix, which keeps them exactly orthonormal by construction.
+normals. A random unitary is the polar factor of a quaternionic Ginibre
+matrix, taken on its complex embedding by one SVD and folded back: Haar
+distributed on Sp(n), orthonormal to rounding, with no eigenvector
+recovery.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import Frame
-from .qlinalg import QMatrix, QVector, herm_eig
+from .qlinalg import QMatrix, QVector, _fold, _polar, complex_adjoint
 from .quaternion import Quaternion
 
 __all__ = [
@@ -39,7 +41,8 @@ def random_hermitian(n: int, rng: np.random.Generator) -> QMatrix:
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:
-    return herm_eig(random_hermitian(n, rng)).eigenvectors
+    """Haar-distributed on Sp(n): the polar factor of a Ginibre matrix."""
+    return _fold(_polar(complex_adjoint(random_matrix(n, n, rng)))[0])
 
 
 def random_positive_definite(n: int, rng: np.random.Generator,

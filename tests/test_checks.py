@@ -100,6 +100,13 @@ def test_scalar_loops_draw_once(recording_rng, name):
     assert recording_rng.draws == [("standard_normal", (300, 8))]
 
 
+def test_every_check_passes_for_the_first_sixteen_seeds():
+    for seed in range(16):
+        failing = [entry["name"] for entry in run_checks(seed=seed)["checks"]
+                   if not entry["passed"]]
+        assert failing == [], seed
+
+
 def test_coefficient_routes_take_one_svd_per_solver_and_size(lapack_svd_calls):
     # pinv(T) and one block solve_min_norm(T, U) per size: 6, not 18
     BY_NAME["coefficient-route-agreement"].fn(np.random.default_rng(0),

@@ -161,6 +161,18 @@ def test_info_frame_beyond_the_double_range(tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+def test_info_frame_below_the_double_range(tmp_path):
+    # S = T T* near 1e-320 has lost its digits: one error line, no warning
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e-160
+    write_json(tmp_path / "tiny.json", {"dim": 2, "vectors": vectors.tolist()})
+    res = run_cli(["info", "tiny.json"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: frame bounds fall below the double "
+                                 "range")
+    assert res.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # dual / parseval / coeffs / reconstruct round trips
 

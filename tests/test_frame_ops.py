@@ -247,6 +247,8 @@ def test_a_frame_family_is_factored_once(lapack_svd_calls):
     T1 = random_frame(3, 8, rng).synthesis
     T2 = random_frame(3, 8, rng).synthesis
     L = random_invertible(3, rng)
+    # drawing L takes polar factors; the count starts after the draws
+    lapack_svd_calls.clear()
 
     def fresh():
         return (Frame.from_synthesis(T1), Frame.from_synthesis(L @ T1),
@@ -341,6 +343,24 @@ def test_frobenius_bounds_give_the_direct_verdict():
                     assert np.array_equal(res.witness.components,
                                           witness.components)
     assert regions == {0, 1, 2}
+
+
+def test_intertwiner_residual_is_the_two_call_form():
+    # the gaps and the target sizes share one norm call; each column is
+    # summed alone, so the residual keeps the bits of two separate calls,
+    # on both sides of the rescaling
+    rng = np.random.default_rng(98)
+    for n, m in ((2, 5), (3, 7), (4, 10)):
+        T1 = random_frame(n, m, rng).synthesis
+        L = random_invertible(n, rng)
+        for k in (-600, 0, 600):
+            first = Frame.from_synthesis(T1 * 2.0 ** k)
+            second = Frame.from_synthesis(L @ first.synthesis)
+            res = intertwiner(first, second)
+            T2 = second.synthesis
+            gap = (res.operator @ first.synthesis - T2).column_norms().max()
+            size = T2.column_norms().max()
+            assert res.residual == float(gap / size)
 
 
 def test_intertwiner_requires_matching_counts():

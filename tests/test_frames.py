@@ -598,6 +598,25 @@ def test_frame_operator_beyond_the_double_range():
         fr.report()
     # a frame near 1e150 still fits: S is near 1e300
     assert Frame(vectors * 1e-50, dim=2).report().status == "frame"
+    # S = 1.2e308 fits, although 2 * S does not
+    x = np.sqrt(1.2e308)
+    S = Frame([[[x, 0.0, 0.0, 0.0]]], dim=1).frame_operator
+    assert S.components.tolist() == [[[x * x, 0.0, 0.0, 0.0]]]
+    assert x * x == pytest.approx(1.2e308, rel=1e-15)
+
+
+def test_frame_operator_below_the_double_range():
+    # near 1e-160 the bounds fall below the normal range, and near 1e-170
+    # S underflows to 0: both are named, neither divides nor reads as
+    # rank-deficient
+    vectors = np.random.default_rng(64).standard_normal((3, 2, 4))
+    for scale in (1e-160, 1e-170):
+        fr = Frame(vectors * scale, dim=2)
+        with pytest.raises(ValueError, match="frame bounds fall below the "
+                                             "double range"):
+            fr.report()
+    assert Frame(vectors * 1e-150, dim=2).report().status == "frame"
+    assert Frame(vectors * 0.0, dim=2).report().status == "rank-deficient"
 
 
 # ---------------------------------------------------------------------------

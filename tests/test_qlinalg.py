@@ -5,12 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qframes.qlinalg
 from qframes.quaternion import I, J, K, ONE, Quaternion
 from qframes.qlinalg import (
     HERMITIAN_TOL,
     POLISH_TOL,
     QMatrix,
     QVector,
+    _fold,
+    _polar,
     _validate_pairing,
     complex_adjoint,
     embed_vector,
@@ -355,6 +358,26 @@ def test_polish_stops_once_orthonormal(split_products):
     assert (U.H @ U - QMatrix.identity(4)).entry_moduli().max() <= POLISH_TOL
 
 
+def test_random_unitary_is_one_polar_factor(monkeypatch):
+    # the polar factor of chi(X) for a Ginibre draw X keeps the embedding,
+    # and folded it is unitary on both sides, with no eigen-recovery
+    def unreachable(*args):
+        raise AssertionError("a recovery path was reached")
+
+    for name in ("herm_eig", "_recover", "_polish"):
+        monkeypatch.setattr(qframes.qlinalg, name, unreachable)
+    for n in range(1, 11):
+        for seed in range(40):
+            U = random_unitary(n, np.random.default_rng(seed))
+            eye = QMatrix.identity(n)
+            assert (U.H @ U - eye).entry_moduli().max() <= 1e-13
+            assert (U @ U.H - eye).entry_moduli().max() <= 1e-13
+            X = random_matrix(n, n, np.random.default_rng(seed))
+            Q, _ = _polar(complex_adjoint(X))
+            assert np.abs(Q - complex_adjoint(_fold(Q))).max() <= 1e-13
+            assert np.array_equal(_fold(Q).components, U.components)
+
+
 def test_hermitian_drift_matches_the_adjoint_difference():
     # the check reads the drift off chi(M); it must report the entries and
     # values of M - M* exactly
@@ -681,12 +704,88 @@ def test_rank_nullity():
             assert frob(M @ null) <= FACTOR_TOL * max(frob(M), 1e-300)
 
 
-def test_kernel_basis_is_one_lapack_call(lapack_svd_calls):
-    # the kernel is read from one full SVD of the embedding; neither the
-    # left factor nor the paired right vectors are recovered
+def test_kernel_basis_is_one_full_svd_and_one_polar_factor(lapack_svd_calls):
+    # the kernel is read from one full SVD of the embedding, and its basis
+    # from the thin SVD of one sketched 18 x 14 block; neither the left
+    # factor nor the paired right vectors are recovered
     M = random_rank_deficient(4, 9, 2, np.random.default_rng(92))
+    lapack_svd_calls.clear()
     assert kernel_basis(M).shape == (9, 7)
-    assert lapack_svd_calls == ["full"]
+    assert lapack_svd_calls == ["full", "thin"]
+
+
+def _columns(X: QMatrix, start: int) -> QMatrix:
+    a, b = X.split
+    return QMatrix.from_split(a[:, start:], b[:, start:])
+
+
+def test_null_spaces_stay_orthonormal_at_every_rank_and_scale():
+    # the null groups of kernel_basis and of both svd factors come from one
+    # polar factor; the power-of-two scalings are exact
+    rng = np.random.default_rng(94)
+    for m, n in ((3, 6), (6, 3), (4, 4), (5, 9)):
+        for rank in range(min(m, n)):
+            M0 = random_rank_deficient(m, n, rank, rng)
+            for k in (-500, 0, 500):
+                M = M0 * 2.0 ** k
+                fac = svd(M)
+                for op, null in ((M, kernel_basis(M)),
+                                 (M, _columns(fac.v, rank)),
+                                 (M.H, _columns(fac.u, rank))):
+                    d = null.shape[1]
+                    drift = (null.H @ null - QMatrix.identity(d)).entry_moduli()
+                    assert drift.max(initial=0.0) <= 1e-13
+                    assert frob(op @ null) <= 1e-13 * frob(M)
+
+
+@pytest.fixture
+def group_basis_calls(monkeypatch):
+    """Record the group size of every vector-by-vector _group_basis call."""
+    calls = []
+    group_basis = qframes.qlinalg._group_basis
+
+    def counting(C, need):
+        calls.append(need)
+        return group_basis(C, need)
+
+    monkeypatch.setattr(qframes.qlinalg, "_group_basis", counting)
+    return calls
+
+
+def test_null_groups_skip_the_vector_by_vector_basis(group_basis_calls):
+    # a group of zeros is taken in one block from a polar factor; a group of
+    # close nonzero values still goes vector by vector, in value order
+    calls = group_basis_calls
+    rng = np.random.default_rng(95)
+    for m, n in ((3, 8), (8, 3), (4, 4)):
+        for rank in range(min(m, n)):
+            M = random_rank_deficient(m, n, rank, rng)
+            kernel_basis(M)
+            svd(M)
+    assert herm_eig(QMatrix.zeros(3, 3)).eigenvectors.shape == (3, 3)
+    assert calls == []
+    Q = random_unitary(4, rng)
+    M = Q @ QMatrix.diag([3.0, 2.0, 1.0 + 5e-11, 1.0]) @ Q.H
+    herm_eig(M).eigenvectors
+    assert calls == [2]
+
+
+def test_a_sketch_that_loses_the_span_falls_back(group_basis_calls,
+                                                 monkeypatch):
+    # a sketch with equal columns makes [Y, partner(Y)] singular, below
+    # NULL_SKETCH_FLOOR; the group is then orthonormalized vector by vector
+    def degenerate(k):
+        G = np.ones((2 * k, k), dtype=complex)
+        G[:, 0] = np.arange(1, 2 * k + 1)
+        return G
+
+    monkeypatch.setattr(qframes.qlinalg, "_sketch", degenerate)
+    M = random_rank_deficient(3, 7, 2, np.random.default_rng(96))
+    null = kernel_basis(M)
+    assert group_basis_calls == [5]
+    drift = null.H @ null - QMatrix.identity(5)
+    assert drift.entry_moduli().max() <= 1e-13
+    assert frob(M @ null) <= 1e-13 * frob(M)
 
 
 def test_surjective_and_bounded_below():
@@ -716,6 +815,19 @@ def test_orthogonal_projector():
     assert frob(P @ P - P) <= 1e-12
     assert (P - P.H).entry_moduli().max() <= 1e-13
     assert frob(P @ B - B) <= 1e-12
+
+
+def test_orthogonal_projector_keeps_its_bits():
+    # the terms are halved before the sum, which is exact in the normal
+    # range: the projector equals 0.5 * (P + P*) bit for bit
+    rng = np.random.default_rng(97)
+    for n, d in ((2, 1), (4, 2), (6, 6)):
+        ua, ub = random_unitary(n, rng).split
+        B = QMatrix.from_split(ua[:, :d], ub[:, :d])
+        pa, pb = (B @ B.H).split
+        P = orthogonal_projector(B)
+        assert np.array_equal(P.split[0], 0.5 * (pa + pa.conj().T))
+        assert np.array_equal(P.split[1], 0.5 * (pb - pb.T))
 
 
 def test_orthogonal_projector_rejects_skewed_columns():
