@@ -28,6 +28,7 @@ from .frame_ops import (
 from .qlinalg import (
     QMatrix,
     QVector,
+    _singular_values,
     complex_adjoint,
     embed_vector,
     herm_eig,
@@ -355,7 +356,7 @@ def _bound_attainment(rng, sizes) -> float:
     for n, m in sizes:
         F = random_frame(n, m, rng)
         bounds = F.optimal_bounds()
-        vecs = herm_eig(F.frame_operator).eigenvectors
+        vecs = F._spectral.eigenvectors
         top, bottom = vecs.column(0), vecs.column(n - 1)
         worst = max(worst, _rel(abs(F.analysis(top).norm() ** 2 - bounds.upper),
                                 bounds.upper))
@@ -373,7 +374,7 @@ def _bound_formulas(rng, sizes) -> float:
         F = random_frame(n, m, rng)
         bounds = F.optimal_bounds()
         T = F.synthesis
-        s_inv = herm_eig(F.frame_operator).apply(lambda lam: 1.0 / lam)
+        s_inv = F._inverse_operator
         lower = (bounds.lower, 1.0 / operator_norm(s_inv),
                  1.0 / operator_norm(pinv(T)) ** 2)
         upper = (bounds.upper, operator_norm(F.frame_operator),
@@ -510,7 +511,7 @@ def _operator_images(rng, sizes) -> float:
         if not image.is_frame:
             return 1.0
         worst = max(worst, report.residuals["operator-conjugation"])
-        sigma = svd(L).singular_values
+        sigma = _singular_values(L)
         ibounds = image.optimal_bounds()
         floor = bounds.lower * sigma[-1] ** 2
         cap = bounds.upper * sigma[0] ** 2

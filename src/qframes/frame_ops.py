@@ -7,8 +7,10 @@ index set are equivalent exactly when their synthesis matrices share a
 kernel, and the connecting operator is recovered as T2 pinv(T1).
 
 Every test reads the thin SVD of the embedding that each Frame caches
-(Frame._factors). Its right factor Wr spans the row space of chi(T1), so
-I - Wr Wr* projects onto the embedded kernel of T1, and T2 annihilates
+(Frame._factors): one LAPACK SVD for a fresh family, or, for a frame that
+already holds the eigensystem of S, read off that with no LAPACK call.
+Its right factor Wr spans the row space of chi(T1), so I - Wr Wr*
+projects onto the embedded kernel of T1, and T2 annihilates
 ker(T1) exactly when the rows of chi(T2) projected that way vanish against
 ||T2||. The same factors give pinv(T1). ||T2|| is bounded first by the
 Frobenius norm, ||T2||_F / sqrt(k) <= ||T2|| <= ||T2||_F with k = min(dim,

@@ -37,6 +37,7 @@ from .qlinalg import (
     _hermitian_outer,
     _norm,
     _real_array,
+    _svd_from_eig,
     _vector_components,
     herm_eig,
 )
@@ -216,13 +217,19 @@ class Frame:
 
         A canonical dual S^-1 T is pinv(T)*, so while its frame is alive and
         that frame's cut kept all 2n columns, it reads its factors off the
-        frame's instead of factoring its own T.
+        frame's instead of factoring its own T. A frame that already holds
+        the eigensystem of S = T T* reads them off that: Wl is its
+        eigenvector block, s = sqrt(lambda), and Wr = chi(T)* Wl / s, which
+        is orthonormal to about eps * B/A. Any other family takes one LAPACK
+        SVD of chi(T); S is never factored just for this.
         """
         primal = self._primal() if self._primal is not None else None
         if primal is not None:
             factors = primal._factors
             if len(factors.s) == 2 * self.dim:
                 return factors.pinv_adjoint()
+        if "_spectral" in self.__dict__ and self.is_frame:
+            return _svd_from_eig(self.synthesis, self._spectral)
         return _embedded_svd(self.synthesis, None)
 
     @property

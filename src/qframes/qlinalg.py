@@ -714,7 +714,10 @@ class _EmbeddedSvd(NamedTuple):
 
     null holds the remaining right columns of a full factorization, an
     orthonormal basis of the kernel of chi(M), which is the embedded kernel
-    of M and closed under the j-partner; it is None for a thin one.
+    of M and closed under the j-partner; it is None for a thin one. The
+    factors come from one LAPACK SVD of chi(M) (_embedded_svd), or, for M of
+    full row rank whose M M* is already factored, from that eigensystem
+    (_svd_from_eig), whose Wr is orthonormal only to about eps * cond(M M*).
     """
 
     Wl: np.ndarray
@@ -743,6 +746,20 @@ def _embedded_svd(M: QMatrix, rtol: float | None,
     Wr = Wrh.conj().T
     return _EmbeddedSvd(Wl[:, :r], np.repeat(sigma, 2)[:r], Wr[:, :r],
                         Wr[:, r:] if full_matrices else None)
+
+
+def _svd_from_eig(M: QMatrix, eig: HermEig) -> _EmbeddedSvd:
+    """The thin SVD of chi(M), read off the eigensystem of M M*, with no
+    LAPACK call; every eigenvalue must be positive, so M has full row rank.
+
+    The left singular vectors of chi(M) are the eigenvectors of chi(M M*),
+    reversed so s descends, and s is the root of each doubled eigenvalue;
+    Wr = chi(M)* Wl / s. Wr* Wr departs from I by about eps * cond(M M*),
+    since it is Wl* chi(M M*) Wl / s^2; it spans the row space of chi(M).
+    """
+    Wl = eig.embedded[:, ::-1]
+    s = np.repeat(np.sqrt(eig.eigenvalues), 2)
+    return _EmbeddedSvd(Wl, s, (complex_adjoint(M).conj().T @ Wl) / s, None)
 
 
 def svd(M: QMatrix) -> QSvd:
@@ -781,9 +798,15 @@ def operator_norm(M: QMatrix) -> float:
     return float(values[0]) if len(values) else 0.0
 
 
-def matrix_rank(M: QMatrix, rtol: float | None = None) -> int:
+def _singular_values(M: QMatrix) -> np.ndarray:
+    """The singular values of M, descending, from one values-only LAPACK SVD
+    of chi(M) with the pairing validated."""
     doubled = np.linalg.svd(complex_adjoint(M), compute_uv=False)
-    return _rank_from_sigma(_validate_pairing(doubled, "singular"), *M.shape, rtol)
+    return _validate_pairing(doubled, "singular")
+
+
+def matrix_rank(M: QMatrix, rtol: float | None = None) -> int:
+    return _rank_from_sigma(_singular_values(M), *M.shape, rtol)
 
 
 def pinv(M: QMatrix, rtol: float | None = None) -> QMatrix:

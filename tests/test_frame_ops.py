@@ -15,7 +15,7 @@ from qframes.frame_ops import (
     project_frame,
     unitary_invariance_check,
 )
-from qframes.frames import Frame
+from qframes.frames import FRAME_RTOL, Frame
 from qframes.qlinalg import (
     QMatrix,
     QVector,
@@ -35,6 +35,7 @@ from qframes.sampling import (
     random_positive_definite,
     random_rank_deficient,
     random_unitary,
+    random_with_spectrum,
 )
 
 IMAGE_TOL = 1e-9        # relative residual for frame-operator conjugation
@@ -276,7 +277,7 @@ def test_a_frame_family_is_factored_once(lapack_svd_calls):
     first, image, other = fresh()
     dual = first.canonical_dual()
     assert are_equivalent(first, dual).relation == "equivalent"
-    assert lapack_svd_calls == ["thin"]
+    assert lapack_svd_calls == []
     lapack_svd_calls.clear()
     # the dual's factors are cached, and its own dual reads them
     assert are_equivalent(dual, dual.canonical_dual()).relation == "equivalent"
@@ -483,6 +484,41 @@ def test_equivalence_at_scales_whose_squares_leave_the_double_range():
             w = res.witness
             assert (F.synthesis @ w).norm() \
                 <= KERNEL_RTOL * operator_norm(F.synthesis) * w.norm(), k
+
+
+@pytest.mark.parametrize("k", [-400, 0, 400])
+def test_equivalence_verdicts_do_not_depend_on_a_held_spectrum(k):
+    # A frame holding the eigensystem of S reads its factors off it, with a
+    # projector off by about eps kappa^2 where the SVD's is off by eps; the
+    # relation, the residual and the witnesses must not notice, from kappa =
+    # 1 to just inside the is_frame boundary, at scales whose S stays normal.
+    rng = np.random.default_rng(73)
+    n, m = 3, 8
+    c = 2.0 ** k
+    edge = np.sqrt(1.0 / (n * FRAME_RTOL))
+    for kappa in (1.0, 1e2, 1e4, 0.9 * edge):
+        for _ in range(3):
+            T1 = random_with_spectrum(n, m, np.geomspace(1.0, 1.0 / kappa, n),
+                                      rng) * c
+            pairs = {"equivalent": random_invertible(n, rng) @ T1,
+                     "one-sided": random_rank_deficient(n, n, n - 1, rng) @ T1,
+                     "none": random_frame(n, m, rng).synthesis * c}
+            for relation, T2 in pairs.items():
+                for held in ((), (0,), (0, 1)):
+                    pair = Frame.from_synthesis(T1), Frame.from_synthesis(T2)
+                    for i in held:
+                        pair[i].spectrum
+                    res = are_equivalent(*pair)
+                    assert res.relation == relation, (kappa, held)
+                    if res.residual is not None:
+                        assert res.residual <= 1e-9, (kappa, held)
+                    if res.witness is not None:
+                        # the forward witness lies in ker(T1), the backward
+                        # one in ker(T2)
+                        T = T1 if relation == "none" else T2
+                        w = res.witness
+                        assert ((T @ w).norm() <= KERNEL_RTOL
+                                * operator_norm(T) * w.norm()), (kappa, held)
 
 
 def test_equivalence_to_dict_optional_keys():

@@ -26,6 +26,7 @@ from qframes.sampling import (
     random_invertible,
     random_matrix,
     random_vector,
+    random_with_spectrum,
 )
 
 RECON_TOL = 1e-9        # relative reconstruction residual for random frames
@@ -563,7 +564,7 @@ def test_dual_reads_its_frame_factors_through_a_weak_reference(
         fr = Frame.from_synthesis(T)
         dual = fr.canonical_dual()
         factors = dual._factors
-        assert lapack_svd_calls == ["thin"]
+        assert lapack_svd_calls == []
         assert np.array_equal(dual.canonical_dual()._factors.Wr,
                               fr._factors.Wr)
         parent = weakref.ref(fr)
@@ -588,6 +589,51 @@ def test_dual_reads_its_frame_factors_through_a_weak_reference(
         assert are_equivalent(d, Frame.from_synthesis(T)).relation \
             == "equivalent"
         assert are_equivalent(d, other).relation == "none"
+
+
+@pytest.mark.parametrize("n, m", [(3, 8), (4, 10)])
+def test_factors_read_off_the_spectrum_match_a_direct_svd(n, m,
+                                                          lapack_svd_calls):
+    # The eigensystem computed for S = T T* is exact for some S + E with
+    # ||E|| <= c eps ||S||, c growing with the size (forming S and eigh
+    # both round). The derived projector chi(T)* (S + E)^-1 chi(T) and the
+    # pseudoinverse T* (S + E)^-1 are then off by about ||E|| / lambda_min,
+    # that is c eps kappa^2 relative, for kappa = sigma_max / sigma_min of T,
+    # as is Wr* Wr from I; each sigma = sqrt(lambda) is off by at most
+    # ||E|| / (2 sigma_min) = (c / 2) eps kappa sigma_max. c = 10 m covers
+    # the largest ratio seen, about 9 eps kappa^2 for Wr* Wr at kappa = 1.
+    eps = np.finfo(float).eps
+    c = 10 * m
+    rng = np.random.default_rng(71)
+    edge = np.sqrt(1.0 / (n * FRAME_RTOL))  # kappa where is_frame flips
+    for kappa in (1.0, 10.0, 1e2, 1e3, 1e4, 0.9 * edge):
+        for _ in range(5):
+            sigma = np.geomspace(1.0, 1.0 / kappa, n)
+            T = random_with_spectrum(n, m, sigma, rng)
+            fr = Frame.from_synthesis(T)
+            assert fr.is_frame, kappa
+            lapack_svd_calls.clear()
+            factors = fr._factors
+            assert lapack_svd_calls == [], kappa
+            chi = complex_adjoint(T)
+            _, s, Wrh = np.linalg.svd(chi, full_matrices=False)
+            Wr = Wrh.conj().T
+            tol = c * eps * kappa ** 2
+            assert np.abs(factors.Wr @ factors.Wr.conj().T
+                          - Wr @ Wr.conj().T).max() <= tol, kappa
+            assert np.abs(factors.Wr.conj().T @ factors.Wr
+                          - np.eye(2 * n)).max() <= tol, kappa
+            assert np.abs(factors.s - s).max() <= c * eps * kappa * s[0], kappa
+            assert (np.abs(complex_adjoint(factors.pinv()) - np.linalg.pinv(chi))
+                    .max() <= tol / s[-1]), kappa
+    # just outside the boundary the family is no frame, and held eigenvalues
+    # decide no rank: T takes its own SVD
+    T = random_with_spectrum(n, m, np.geomspace(1.0, 1.0 / (1.1 * edge), n), rng)
+    fr = Frame.from_synthesis(T)
+    assert not fr.is_frame
+    lapack_svd_calls.clear()
+    assert len(fr._factors.s) == 2 * n
+    assert lapack_svd_calls == ["thin"]
 
 
 def test_frame_operator_beyond_the_double_range():
