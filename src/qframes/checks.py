@@ -133,12 +133,12 @@ def _conj_anti(rng, sizes) -> float:
     worst = 0.0
     for row in rng.standard_normal((300, 8)).tolist():
         p, q = Quaternion(*row[:4]), Quaternion(*row[4:])
-        scale = p.modulus() * q.modulus()
+        q_mod, q_conj = q.modulus(), q.conjugate()
         worst = max(worst, _rel(((p * q).conjugate()
-                                 - q.conjugate() * p.conjugate()).modulus(), scale))
-        square = q.conjugate() * q
-        worst = max(worst, _rel((square - q.modulus() ** 2).modulus(),
-                                q.modulus() ** 2))
+                                 - q_conj * p.conjugate()).modulus(),
+                                p.modulus() * q_mod))
+        q_sq = q_mod ** 2
+        worst = max(worst, _rel((q_conj * q - q_sq).modulus(), q_sq))
     return worst
 
 
@@ -155,13 +155,13 @@ def _inner_structure(rng, sizes) -> float:
         for draw in rng.standard_normal((20, 2 * n + 1, 4)):
             u, v = QVector(draw[:n]), QVector(draw[n:2 * n])
             q = Quaternion(*draw[2 * n])
-            scale = u.norm() * v.norm() * q.modulus()
-            worst = max(worst, _rel((inner(v, u * q)
-                                     - inner(v, u) * q).modulus(), scale))
-            worst = max(worst, _rel((inner(u, v) - inner(v, u).conjugate()).modulus(),
-                                    u.norm() * v.norm()))
-            gap = inner(u, v).modulus() - u.norm() * v.norm()
-            worst = max(worst, _rel(max(gap, 0.0), u.norm() * v.norm()))
+            norms = u.norm() * v.norm()
+            uv, vu = inner(u, v), inner(v, u)
+            worst = max(worst, _rel((inner(v, u * q) - vu * q).modulus(),
+                                    norms * q.modulus()))
+            worst = max(worst, _rel((uv - vu.conjugate()).modulus(), norms))
+            gap = uv.modulus() - norms
+            worst = max(worst, _rel(max(gap, 0.0), norms))
     return worst
 
 

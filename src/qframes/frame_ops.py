@@ -35,7 +35,6 @@ from .qlinalg import (
     QVector,
     _norm,
     _require_orthonormal,
-    complex_adjoint,
     sqrt_psd,
     unembed_vector,
 )
@@ -166,7 +165,7 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     """
     Wr = first._factors.Wr
     T2 = second.synthesis
-    top = complex_adjoint(T2)[:second.dim]
+    top = np.hstack(T2.split)  # the top block row of chi(T2), [A2, B2]
     R = top - (top @ Wr) @ Wr.conj().T
     norms = _norm(R, axis=1)
     i = int(np.argmax(norms))

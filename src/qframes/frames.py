@@ -37,6 +37,7 @@ from .qlinalg import (
     _hermitian_outer,
     _norm,
     _real_array,
+    _split_matmul_adjoint,
     _svd_from_eig,
     _vector_components,
     herm_eig,
@@ -353,7 +354,8 @@ class Frame:
         """Status, raw spectrum, and deterministic operator-identity residuals.
 
         For a frame each residual is ||X - I||_F / sqrt(n), read from the
-        cached operators, with D = S^-1 T the canonical dual's synthesis:
+        cached operators, with D = S^-1 T the canonical dual's synthesis;
+        T D* is formed without a copy of D*:
 
         - "reconstruction": X = T D*, the natural representation
           u = sum u_i <S^-1 u_i, u>, that is T T* S^-1 = I;
@@ -370,11 +372,12 @@ class Frame:
         if status == "frame":
             n = self.dim
             eye = QMatrix.identity(n)
-            recon = (self.synthesis @ self._dual._adjoint) - eye
+            ra, rb = _split_matmul_adjoint(*self.synthesis.split,
+                                           *self._dual.synthesis.split)
             dual = (self._inverse_operator @ self.frame_operator) - eye
             tight = self.parseval_normalize().frame_operator - eye
             scale = float(np.sqrt(n))
-            residuals["reconstruction"] = recon.frobenius_norm() / scale
+            residuals["reconstruction"] = _norm(ra - eye.split[0], rb) / scale
             residuals["dual-reconstruction"] = dual.frobenius_norm() / scale
             residuals["parseval"] = tight.frobenius_norm() / scale
         return FrameReport(status=status, lower=lo, upper=hi,

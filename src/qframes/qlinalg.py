@@ -21,6 +21,12 @@ one block from the polar factor of a sketch of it, a cluster of close
 nonzero values is orthonormalized inside itself vector by vector, and at
 most two Newton-Schulz steps make the columns orthonormal to rounding; the
 polish stops as soon as they are.
+
+The 2n x 2n embedding exists only inside the LAPACK calls and the GEMMs
+around them. Every elementwise step (the Hermitian check, symmetrizing, the
+fold of a matrix function) runs on the n x n split halves (A, B), and a
+product X Y* reads the transposes of Y's halves as views instead of
+forming Y*.
 """
 
 from __future__ import annotations
@@ -404,6 +410,16 @@ def _split_matmul(A1, B1, A2, B2):
     return a, b
 
 
+def _split_matmul_adjoint(A1, B1, A2, B2):
+    """(A1 + B1*j)(A2 + B2*j)*, with no copy of the adjoint: the split of
+    the product is (A1 A2^H + B1 B2^H, B1 A2^T - A1 B2^T). The transposes
+    are views that BLAS reads in place, so only the two conjugates are
+    copies, where X @ Y.H makes four."""
+    a = A1 @ A2.conj().T + B1 @ B2.conj().T
+    b = B1 @ A2.T - A1 @ B2.T
+    return a, b
+
+
 def _right_scale(a, b, z1, z2):
     """(a + b*j) * (z1 + z2*j), scalar on the right."""
     return a * z1 - b * np.conj(z2), a * z2 + b * np.conj(z1)
@@ -478,10 +494,12 @@ def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
 def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
     """The quaternionic values of a doubled spectrum, sorted as LAPACK
     returns it, so its largest modulus sits at one end."""
+    # Each term is scaled before the sum, so values near the largest double
+    # pair without overflow; in the normal range halving is exact.
     even, odd = doubled[0::2], doubled[1::2]
-    mid = 0.5 * (even + odd)
+    mid = 0.5 * even + 0.5 * odd
     scale = max(abs(doubled[0]), abs(doubled[-1])) if len(doubled) else 0.0
-    bad = np.abs(even - odd) > PAIR_TOL * (scale + np.abs(mid))
+    bad = np.abs(even - odd) > PAIR_TOL * scale + PAIR_TOL * np.abs(mid)
     if bad.any():
         t = int(np.argmax(bad))
         raise np.linalg.LinAlgError(
@@ -626,11 +644,24 @@ class HermEig:
     embedded: np.ndarray
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
-        """U diag(fn(eigenvalues)) U*, exactly Hermitian."""
+        """U diag(fn(eigenvalues)) U*, exactly Hermitian.
+
+        The one product X = W diag(fn) W* is the only 2n x 2n pass. It is
+        folded first, P = X11 + conj(X22) and Q = X12 - conj(X21), and
+        symmetrized second, as (P + P*) / 4 and (Q - Q^T) / 4, on the n x n
+        blocks: all four blocks of X still average, and the halves are
+        Hermitian and skew-symmetric bit for bit.
+        """
         values = np.asarray(fn(self.eigenvalues), dtype=float)
         W = self.embedded
         X = (W * np.repeat(values[::-1], 2)) @ W.conj().T
-        return _fold(0.5 * (X + X.conj().T))
+        n = X.shape[0] // 2
+        p = X[:n, :n] + X[n:, n:].conj()
+        q = X[:n, n:] - X[n:, :n].conj()
+        a, b = p + p.conj().T, q - q.T
+        a *= 0.25
+        b *= 0.25
+        return _own(QMatrix, a, b)
 
     @cached_property
     def eigenvectors(self) -> QMatrix:
@@ -643,29 +674,32 @@ def herm_eig(M: QMatrix) -> HermEig:
     """Eigendecomposition of a Hermitian quaternionic matrix.
 
     The input must satisfy M = M* entrywise within HERMITIAN_TOL relative to
-    its largest entry; anything else is rejected rather than symmetrized.
+    its largest entry; anything else is rejected, naming the entry furthest
+    off. An input inside that tolerance but not exactly Hermitian is
+    symmetrized to (M + M*) / 2 first. Validation and symmetrization run on
+    the n x n split halves; only LAPACK sees the 2n x 2n embedding.
     """
     m, n = M.shape
     if m != n:
         raise ValueError(f"expected a square matrix, got {M.shape}")
-    # The top block row of chi is [A, B], the split of M, and that of
-    # chi - chi^H is [A - A^H, B + B^T], the split of M - M*: one modulus
-    # pass over the two reads the scale and the drift.
-    chi = complex_adjoint(M)
-    chi_h = chi.conj().T
-    rows = np.abs(np.concatenate([chi[:n], chi[:n] - chi_h[:n]]))
-    moduli = np.hypot(rows[:, :n], rows[:, n:])
-    scale = float(moduli[:n].max(initial=0.0))
-    drift = moduli[n:]
-    if (drift > HERMITIAN_TOL * scale).any():
-        i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
-        raise ValueError(
-            f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
-            f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
-
-    chi += chi_h
-    chi *= 0.5
-    doubled, W = np.linalg.eigh(chi)
+    # The split of M - M* is (A - A^H, B + B^T). When it is exactly 0, as
+    # for every S = T T* the library forms, M passes as it is; otherwise one
+    # modulus pass over each pair reads the scale and the drift.
+    A, B = M.split
+    drift_a, drift_b = A - A.conj().T, B + B.T
+    if drift_a.any() or drift_b.any():
+        scale = float(_entry_moduli(A, B).max(initial=0.0))
+        drift = _entry_moduli(drift_a, drift_b)
+        if (drift > HERMITIAN_TOL * scale).any():
+            i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
+            raise ValueError(
+                f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
+                f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
+        # Each term is halved before the sum, so an entry that fits stays
+        # finite; the split of (M + M*) / 2 is ((A + A^H) / 2, (B - B^T) / 2).
+        a, b = 0.5 * A, 0.5 * B
+        M = _own(QMatrix, a + a.conj().T, b - b.T)
+    doubled, W = np.linalg.eigh(complex_adjoint(M))
     lam = _validate_pairing(doubled, "eigen")
     return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]), embedded=W)
 
@@ -867,14 +901,16 @@ def _require_orthonormal(B: QMatrix, what: str) -> None:
 
 
 def _hermitian_outer(B: QMatrix) -> QMatrix:
-    """B B*, made exactly Hermitian.
+    """B B*, made exactly Hermitian, formed without a copy of B*.
 
-    Each term is halved before the sum, so an entry that fits in a double
+    The product P = B B* comes from _split_matmul_adjoint. Each term of
+    P + P* is halved before the sum, so an entry that fits in a double
     stays finite; in the normal range halving is exact, and the result has
     the bits of 0.5 * (P + P*).
     """
-    pa, pb = (B @ B.H).split
-    pa, pb = 0.5 * pa, 0.5 * pb
+    pa, pb = _split_matmul_adjoint(*B.split, *B.split)
+    pa *= 0.5
+    pb *= 0.5
     return _own(QMatrix, pa + pa.conj().T, pb - pb.T)
 
 

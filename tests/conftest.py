@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qframes
+import qframes.frames
 import qframes.qlinalg
 
 # The directory holding the qframes package under test, made absolute so a
@@ -50,19 +51,26 @@ def lapack_svd_calls(monkeypatch):
 
 @pytest.fixture
 def split_products(monkeypatch):
-    """Record the inner dimension of every qlinalg._split_matmul call.
+    """Record the inner dimension of every quaternionic product kernel call.
 
     Every quaternionic product, matrix by matrix or matrix by vector, is one
-    call; its inner dimension is the column count of the left factor.
+    call of qlinalg._split_matmul, or of qlinalg._split_matmul_adjoint for a
+    product X Y*, which frames also calls; its inner dimension is the column
+    count of the left factor.
     """
     inner = []
-    split_matmul = qframes.qlinalg._split_matmul
 
-    def counting(A1, B1, A2, B2):
-        inner.append(A1.shape[1])
-        return split_matmul(A1, B1, A2, B2)
+    def counting(kernel):
+        def count(A1, B1, A2, B2):
+            inner.append(A1.shape[1])
+            return kernel(A1, B1, A2, B2)
+        return count
 
-    monkeypatch.setattr(qframes.qlinalg, "_split_matmul", counting)
+    monkeypatch.setattr(qframes.qlinalg, "_split_matmul",
+                        counting(qframes.qlinalg._split_matmul))
+    adjoint = counting(qframes.qlinalg._split_matmul_adjoint)
+    for module in (qframes.qlinalg, qframes.frames):
+        monkeypatch.setattr(module, "_split_matmul_adjoint", adjoint)
     return inner
 
 

@@ -173,6 +173,30 @@ def test_info_frame_below_the_double_range(tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+def test_frame_whose_operator_nears_the_largest_double(tmp_path):
+    # S = 1.2e308 fits, but S + S* and the pairing sums of its doubled
+    # spectrum would not: each is halved before the sum, so the frame gets
+    # its bounds and its Parseval form, and only the dual, whose S is
+    # 1 / 1.2e308, leaves the double range
+    write_json(tmp_path / "F.json",
+               {"dim": 1, "vectors": [[[math.sqrt(1.2e308), 0, 0, 0]]]})
+    info = run_cli(["info", "F.json", "--json"], tmp_path)
+    assert (info.returncode, info.stderr) == (0, "")
+    bounds = json.loads(info.stdout)["bounds"]
+    assert bounds["lower"] == bounds["upper"] == pytest.approx(1.2e308,
+                                                               rel=1e-12)
+    for args in (["parseval", "F.json"], ["parseval", "F.json", "--json"],
+                 ["info", "F.json"]):
+        res = run_cli(args, tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), args
+    res = run_cli(["dual", "F.json", "--json"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: frame bounds fall below the double "
+                                 "range")
+    assert res.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # dual / parseval / coeffs / reconstruct round trips
 

@@ -777,6 +777,24 @@ def test_frame_calculus_forms_each_product_once(split_products, monkeypatch):
     assert len(taken) == 1 and taken[0] is fr.synthesis
 
 
+def test_frame_calculus_copies_no_adjoint(monkeypatch):
+    # S = T T* and the residual T D* are products with an adjoint, formed
+    # without a copy of T* or D*
+    adjoint = QMatrix.H.fget
+    taken = []
+
+    def recording(M):
+        taken.append(M)
+        return adjoint(M)
+
+    monkeypatch.setattr(QMatrix, "H", property(recording))
+    fr = random_frame(4, 40, np.random.default_rng(49))
+    fr.report()
+    fr.canonical_dual()
+    fr.parseval_normalize()
+    assert taken == []
+
+
 def test_report_to_dict_shape():
     d = doubled_basis().report().to_dict()
     assert d["status"] == "frame"

@@ -13,7 +13,9 @@ from qframes.qlinalg import (
     QMatrix,
     QVector,
     _fold,
+    _hermitian_outer,
     _polar,
+    _split_matmul_adjoint,
     _validate_pairing,
     complex_adjoint,
     embed_vector,
@@ -442,6 +444,88 @@ def test_pairing_failure_prints_plain_floats():
         _validate_pairing(np.array([1.0, 2.0]), "eigen")
     assert str(info.value) == ("embedded eigen spectrum failed to pair at "
                                "position 0: 1.0 vs 2.0")
+
+
+def test_herm_eig_of_exactly_hermitian_input_is_not_symmetrized_again():
+    # S = T T* and (X + X*) / 2 are Hermitian bit for bit, so herm_eig hands
+    # LAPACK chi(M) as it is: the bits of the explicit (chi + chi^H) / 2
+    rng = np.random.default_rng(71)
+    for n, m in ((1, 1), (3, 8), (6, 6), (12, 36)):
+        for M in (_hermitian_outer(random_matrix(n, m, rng)),
+                  random_hermitian(n, rng)):
+            assert np.array_equal(M.components, M.H.components)
+            chi = complex_adjoint(M)
+            doubled, W = np.linalg.eigh(0.5 * (chi + chi.conj().T))
+            eig = herm_eig(M)
+            assert np.array_equal(eig.embedded, W)
+            assert np.array_equal(eig.eigenvalues,
+                                  _validate_pairing(doubled, "eigen")[::-1])
+
+
+def test_herm_eig_symmetrizes_input_inside_the_tolerance():
+    rng = np.random.default_rng(72)
+    for n in (1, 2, 5):
+        comps = np.array(random_hermitian(n, rng).components)
+        comps[n - 1, 0] += [3e-13, -2e-13, 1e-13, 4e-13]
+        M = QMatrix(comps)
+        assert not np.array_equal(M.components, M.H.components)
+        # (M + M*) / 2 as QMatrix arithmetic, exactly Hermitian
+        eig, ref = herm_eig(M), herm_eig((M + M.H) * 0.5)
+        assert np.array_equal(eig.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(eig.embedded, ref.embedded)
+        comps[n - 1, 0] += [0.0, 1e-6, 0.0, 0.0]
+        with pytest.raises(ValueError, match=rf"not Hermitian: entry "
+                           rf"\(({n - 1}, 0|0, {n - 1})\)"):
+            herm_eig(QMatrix(comps))
+
+
+def _apply_through_the_whole_embedding(eig, fn):
+    """HermEig.apply as it was formed on the 2n x 2n array: symmetrize X,
+    then fold it."""
+    values = np.asarray(fn(eig.eigenvalues), dtype=float)
+    W = eig.embedded
+    X = (W * np.repeat(values[::-1], 2)) @ W.conj().T
+    return _fold(0.5 * (X + X.conj().T))
+
+
+@pytest.mark.parametrize("k", [-400, 0, 400])
+def test_apply_folds_on_the_blocks(k):
+    # Folding and symmetrizing on the n x n blocks averages the same four
+    # blocks of X as symmetrizing X first, with one rounding of the sum
+    # fewer: the two agree entrywise within 2 eps * max |fn|, and the blocks
+    # are Hermitian and skew-symmetric bit for bit.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(73)
+    spectra = (rng.standard_normal(6), [3.0, 3.0, 3.0, 1.0, 1.0, -2.0],
+               [1.0, 1.0 + 5e-11, 1.0 - 5e-11, 2.0, 2.0 + 1e-9, 0.5],
+               [7.0, 7.0, 7.0, 0.0, 0.0], [4.0])
+    fns = (lambda v: v, np.square, lambda v: np.sqrt(np.abs(v)),
+           lambda v: np.divide(1.0, v, out=np.zeros_like(v), where=v != 0))
+    for lam in spectra:
+        lam = np.ldexp(np.asarray(lam), k)
+        Q = random_unitary(len(lam), rng)
+        eig = herm_eig(Q @ QMatrix.diag(lam) @ Q.H)
+        for fn in fns:
+            F = eig.apply(fn)
+            a, b = F.split
+            assert np.array_equal(a, a.conj().T)
+            assert np.array_equal(b, -b.T)
+            ref = _apply_through_the_whole_embedding(eig, fn)
+            gap = (F - ref).entry_moduli().max()
+            assert gap <= 2 * eps * np.abs(fn(eig.eigenvalues)).max()
+
+
+def test_split_matmul_adjoint_is_the_product_with_the_adjoint():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(74)
+    for m, n, k in ((1, 1, 1), (3, 4, 5), (4, 3, 1), (6, 6, 20), (2, 5, 0)):
+        X, Y = random_matrix(m, k, rng), random_matrix(n, k, rng)
+        a, b = _split_matmul_adjoint(*X.split, *Y.split)
+        ref = X @ Y.H
+        bound = 4 * k * eps * (X.entry_moduli().max(initial=0.0)
+                               * Y.entry_moduli().max(initial=0.0))
+        assert a.shape == b.shape == (m, n)
+        assert (QMatrix.from_split(a, b) - ref).entry_moduli().max() <= bound
 
 
 def test_herm_eig_rejects_rectangular():
