@@ -35,9 +35,9 @@ from .qlinalg import (
     _EmbeddedSvd,
     _embedded_svd,
     _hermitian_outer,
+    _matmul_adjoint,
     _norm,
     _real_array,
-    _split_matmul_adjoint,
     _svd_from_eig,
     _vector_components,
     herm_eig,
@@ -372,12 +372,11 @@ class Frame:
         if status == "frame":
             n = self.dim
             eye = QMatrix.identity(n)
-            ra, rb = _split_matmul_adjoint(*self.synthesis.split,
-                                           *self._dual.synthesis.split)
+            recon = _matmul_adjoint(self.synthesis, self._dual.synthesis) - eye
             dual = (self._inverse_operator @ self.frame_operator) - eye
             tight = self.parseval_normalize().frame_operator - eye
             scale = float(np.sqrt(n))
-            residuals["reconstruction"] = _norm(ra - eye.split[0], rb) / scale
+            residuals["reconstruction"] = recon.frobenius_norm() / scale
             residuals["dual-reconstruction"] = dual.frobenius_norm() / scale
             residuals["parseval"] = tight.frobenius_norm() / scale
         return FrameReport(status=status, lower=lo, upper=hi,

@@ -420,6 +420,11 @@ def _split_matmul_adjoint(A1, B1, A2, B2):
     return a, b
 
 
+def _matmul_adjoint(X: QMatrix, Y: QMatrix) -> QMatrix:
+    """X Y*, formed by _split_matmul_adjoint without a copy of Y*."""
+    return _own(QMatrix, *_split_matmul_adjoint(*X.split, *Y.split))
+
+
 def _right_scale(a, b, z1, z2):
     """(a + b*j) * (z1 + z2*j), scalar on the right."""
     return a * z1 - b * np.conj(z2), a * z2 + b * np.conj(z1)
@@ -646,22 +651,22 @@ class HermEig:
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
         """U diag(fn(eigenvalues)) U*, exactly Hermitian.
 
-        The one product X = W diag(fn) W* is the only 2n x 2n pass. It is
-        folded first, P = X11 + conj(X22) and Q = X12 - conj(X21), and
-        symmetrized second, as (P + P*) / 4 and (Q - Q^T) / 4, on the n x n
+        The one product X = W diag(fn / 2) W* is the only 2n x 2n pass. It
+        is folded first, P = X11 + conj(X22) and Q = X12 - conj(X21), and
+        symmetrized second, as (P + P*) / 2 and (Q - Q^T) / 2, on the n x n
         blocks: all four blocks of X still average, and the halves are
-        Hermitian and skew-symmetric bit for bit.
+        Hermitian and skew-symmetric bit for bit. Each term is halved before
+        its sum, so no sum exceeds max |fn| by more than rounding.
         """
         values = np.asarray(fn(self.eigenvalues), dtype=float)
         W = self.embedded
-        X = (W * np.repeat(values[::-1], 2)) @ W.conj().T
+        X = (W * np.repeat(0.5 * values[::-1], 2)) @ W.conj().T
         n = X.shape[0] // 2
         p = X[:n, :n] + X[n:, n:].conj()
         q = X[:n, n:] - X[n:, :n].conj()
-        a, b = p + p.conj().T, q - q.T
-        a *= 0.25
-        b *= 0.25
-        return _own(QMatrix, a, b)
+        p *= 0.5
+        q *= 0.5
+        return _own(QMatrix, p + p.conj().T, q - q.T)
 
     @cached_property
     def eigenvectors(self) -> QMatrix:
@@ -903,14 +908,12 @@ def _require_orthonormal(B: QMatrix, what: str) -> None:
 def _hermitian_outer(B: QMatrix) -> QMatrix:
     """B B*, made exactly Hermitian, formed without a copy of B*.
 
-    The product P = B B* comes from _split_matmul_adjoint. Each term of
-    P + P* is halved before the sum, so an entry that fits in a double
-    stays finite; in the normal range halving is exact, and the result has
-    the bits of 0.5 * (P + P*).
+    The product P = B B* comes from _matmul_adjoint. Each term of P + P*
+    is halved before the sum, so an entry that fits in a double stays
+    finite; in the normal range halving is exact, and the result has the
+    bits of 0.5 * (P + P*).
     """
-    pa, pb = _split_matmul_adjoint(*B.split, *B.split)
-    pa *= 0.5
-    pb *= 0.5
+    pa, pb = (0.5 * h for h in _matmul_adjoint(B, B).split)
     return _own(QMatrix, pa + pa.conj().T, pb - pb.T)
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import qframes
-import qframes.frames
 import qframes.qlinalg
 
 # The directory holding the qframes package under test, made absolute so a
@@ -55,8 +54,7 @@ def split_products(monkeypatch):
 
     Every quaternionic product, matrix by matrix or matrix by vector, is one
     call of qlinalg._split_matmul, or of qlinalg._split_matmul_adjoint for a
-    product X Y*, which frames also calls; its inner dimension is the column
-    count of the left factor.
+    product X Y*; its inner dimension is the column count of the left factor.
     """
     inner = []
 
@@ -68,9 +66,8 @@ def split_products(monkeypatch):
 
     monkeypatch.setattr(qframes.qlinalg, "_split_matmul",
                         counting(qframes.qlinalg._split_matmul))
-    adjoint = counting(qframes.qlinalg._split_matmul_adjoint)
-    for module in (qframes.qlinalg, qframes.frames):
-        monkeypatch.setattr(module, "_split_matmul_adjoint", adjoint)
+    monkeypatch.setattr(qframes.qlinalg, "_split_matmul_adjoint",
+                        counting(qframes.qlinalg._split_matmul_adjoint))
     return inner
 
 

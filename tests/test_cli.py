@@ -197,6 +197,27 @@ def test_frame_whose_operator_nears_the_largest_double(tmp_path):
     assert res.stderr.count("\n") == 1
 
 
+def test_frame_whose_inverse_operator_nears_the_largest_double(tmp_path):
+    # S = 2^-1022 is normal and S^-1 = 2^1022 fits, but the sum of the
+    # blocks of 2^1022 before halving would not
+    write_json(tmp_path / "F.json",
+               {"dim": 1, "vectors": [[[2.0 ** -511, 0, 0, 0]]]})
+    info = run_cli(["info", "F.json", "--json"], tmp_path)
+    assert (info.returncode, info.stderr) == (0, "")
+    report = json.loads(info.stdout)
+    assert report["bounds"]["lower"] == report["bounds"]["upper"] == 2.0 ** -1022
+    assert all(math.isfinite(r) for r in report["residuals"].values())
+    dual = run_cli(["dual", "F.json", "--json"], tmp_path)
+    assert (dual.returncode, dual.stderr) == (0, "")
+    payload = json.loads(dual.stdout)
+    assert payload["frame"]["vectors"] == [[[2.0 ** 511, 0.0, 0.0, 0.0]]]
+    assert payload["bounds"]["lower"] == payload["bounds"]["upper"] == 2.0 ** 1022
+    for args in (["dual", "F.json"], ["info", "F.json"],
+                 ["parseval", "F.json", "--json"]):
+        res = run_cli(args, tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), args
+
+
 # ---------------------------------------------------------------------------
 # dual / parseval / coeffs / reconstruct round trips
 

@@ -446,9 +446,9 @@ def test_pairing_failure_prints_plain_floats():
                                "position 0: 1.0 vs 2.0")
 
 
-def test_herm_eig_of_exactly_hermitian_input_is_not_symmetrized_again():
-    # S = T T* and (X + X*) / 2 are Hermitian bit for bit, so herm_eig hands
-    # LAPACK chi(M) as it is: the bits of the explicit (chi + chi^H) / 2
+def test_herm_eig_of_exactly_hermitian_input_matches_explicit_symmetrization():
+    # S = T T* and (X + X*) / 2 are Hermitian bit for bit; in the normal
+    # range their spectra have the bits of the explicit (chi + chi^H) / 2
     rng = np.random.default_rng(71)
     for n, m in ((1, 1), (3, 8), (6, 6), (12, 36)):
         for M in (_hermitian_outer(random_matrix(n, m, rng)),
@@ -460,6 +460,28 @@ def test_herm_eig_of_exactly_hermitian_input_is_not_symmetrized_again():
             assert np.array_equal(eig.embedded, W)
             assert np.array_equal(eig.eigenvalues,
                                   _validate_pairing(doubled, "eigen")[::-1])
+
+
+def test_herm_eig_hands_exactly_hermitian_input_to_lapack_unchanged(
+        monkeypatch):
+    # halving the odd subnormal 5e-324 rounds it to 0, so a symmetrized
+    # copy of M would differ from chi(M) in those entries
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([[1.0, 3 * tiny + 1j * tiny], [3 * tiny - 1j * tiny, 2.0]])
+    b = np.array([[0.0, tiny - 1j * tiny], [-tiny + 1j * tiny, 0.0]])
+    M = QMatrix.from_split(a, b)
+    assert np.array_equal(M.components, M.H.components)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(x):
+        seen.append(x.copy())
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    herm_eig(M)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], complex_adjoint(M))
 
 
 def test_herm_eig_symmetrizes_input_inside_the_tolerance():
@@ -513,6 +535,17 @@ def test_apply_folds_on_the_blocks(k):
             ref = _apply_through_the_whole_embedding(eig, fn)
             gap = (F - ref).entry_moduli().max()
             assert gap <= 2 * eps * np.abs(fn(eig.eigenvalues)).max()
+
+
+def test_apply_at_the_edge_of_the_double_range():
+    # S = 2^-1022 is the smallest normal double; S^-1 = 2^1022 fits, though
+    # twice it does not, and S^1/2 = 2^-511
+    eig = herm_eig(QMatrix.from_real(np.array([[2.0 ** -1022]])))
+    with np.errstate(all="raise"):
+        inv = eig.apply(np.reciprocal)
+        root = eig.apply(np.sqrt)
+    assert inv.components.tolist() == [[[2.0 ** 1022, 0.0, 0.0, 0.0]]]
+    assert root.components.tolist() == [[[2.0 ** -511, 0.0, 0.0, 0.0]]]
 
 
 def test_split_matmul_adjoint_is_the_product_with_the_adjoint():
