@@ -38,6 +38,7 @@ from .qlinalg import (
     _matmul_adjoint,
     _norm,
     _real_array,
+    _require_columns_within,
     _svd_from_eig,
     _vector_components,
     herm_eig,
@@ -231,7 +232,7 @@ class Frame:
                 return factors.pinv_adjoint()
         if "_spectral" in self.__dict__ and self.is_frame:
             return _svd_from_eig(self.synthesis, self._spectral)
-        return _embedded_svd(self.synthesis, None)
+        return _embedded_svd(self.synthesis)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -301,14 +302,10 @@ class Frame:
         column that does not; a block is checked column by column.
         """
         # The norm of a vector, or of each column of a block.
-        gap = _norm(*(self.reconstruct(offered) - u).split, axis=0)
-        size = np.maximum(_norm(*u.split, axis=0), 1e-300)
-        bad = np.flatnonzero(gap > REPRESENTATION_RTOL * size)
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"offered coefficients in column {k} do not "
-                             f"represent the vector: relative residual "
-                             f"{np.ravel(gap / size)[k]:.3e}")
+        _require_columns_within(
+            _norm(*(self.reconstruct(offered) - u).split, axis=0),
+            _norm(*u.split, axis=0), REPRESENTATION_RTOL,
+            "offered coefficients in column {} do not represent the vector")
         c = self.coefficients(u)
         lhs = _norm(*offered.split, axis=0) ** 2
         rhs = (_norm(*c.split, axis=0) ** 2
@@ -396,6 +393,9 @@ class Frame:
         dim = data["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f'"dim" must be a positive integer, got {dim!r}')
+        if 16 * dim * dim > np.iinfo(np.intp).max:  # bytes of S = T T*
+            raise ValueError(f'"dim" is too large: numpy cannot shape the '
+                             f'{dim} x {dim} frame operator')
         vectors = data["vectors"]
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list')

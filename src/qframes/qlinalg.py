@@ -173,8 +173,8 @@ def _norm(a: np.ndarray, b: np.ndarray | None = None,
     top = np.max([np.abs(p).max(axis=axis, initial=0.0) for p in planes],
                  axis=0)
     e = np.frexp(top)[1]
-    shift = np.expand_dims(-e, axis)
-    scaled = sum((np.ldexp(p, shift) ** 2).sum(axis=axis) for p in planes)
+    down = np.expand_dims(-e, axis)
+    scaled = sum((np.ldexp(p, down) ** 2).sum(axis=axis) for p in planes)
     norms = np.ldexp(np.sqrt(scaled), e)
     if whole:
         return float(norms)
@@ -425,6 +425,14 @@ def _matmul_adjoint(X: QMatrix, Y: QMatrix) -> QMatrix:
     return _own(QMatrix, *_split_matmul_adjoint(*X.split, *Y.split))
 
 
+def _hermitian_part(a: np.ndarray, b: np.ndarray) -> QMatrix:
+    """(P + P*) / 2, exactly Hermitian, for the square P = a + b*j. Each term
+    is halved before its sum, so an entry that fits in a double stays finite;
+    in the normal range halving is exact: the bits of 0.5 * (P + P*)."""
+    a, b = 0.5 * a, 0.5 * b
+    return _own(QMatrix, a + a.conj().T, b - b.T)
+
+
 def _right_scale(a, b, z1, z2):
     """(a + b*j) * (z1 + z2*j), scalar on the right."""
     return a * z1 - b * np.conj(z2), a * z2 + b * np.conj(z1)
@@ -662,17 +670,14 @@ class HermEig:
         W = self.embedded
         X = (W * np.repeat(0.5 * values[::-1], 2)) @ W.conj().T
         n = X.shape[0] // 2
-        p = X[:n, :n] + X[n:, n:].conj()
-        q = X[:n, n:] - X[n:, :n].conj()
-        p *= 0.5
-        q *= 0.5
-        return _own(QMatrix, p + p.conj().T, q - q.T)
+        return _hermitian_part(X[:n, :n] + X[n:, n:].conj(),
+                               X[:n, n:] - X[n:, :n].conj())
 
     @cached_property
     def eigenvectors(self) -> QMatrix:
         lam = self.eigenvalues[::-1]
-        spread = float(np.abs(lam).max()) if len(lam) else 0.0
-        return _polish(_recover(self.embedded, lam, spread)[:, ::-1])
+        top = float(np.abs(lam).max()) if len(lam) else 0.0
+        return _polish(_recover(self.embedded, lam, top)[:, ::-1])
 
 
 def herm_eig(M: QMatrix) -> HermEig:
@@ -700,10 +705,7 @@ def herm_eig(M: QMatrix) -> HermEig:
             raise ValueError(
                 f"matrix is not Hermitian: entry ({i}, {k}) differs from its "
                 f"mirror by {drift[i, k]:.3e} against scale {scale:.3e}")
-        # Each term is halved before the sum, so an entry that fits stays
-        # finite; the split of (M + M*) / 2 is ((A + A^H) / 2, (B - B^T) / 2).
-        a, b = 0.5 * A, 0.5 * B
-        M = _own(QMatrix, a + a.conj().T, b - b.T)
+        M = _hermitian_part(A, B)
     doubled, W = np.linalg.eigh(complex_adjoint(M))
     lam = _validate_pairing(doubled, "eigen")
     return HermEig(eigenvalues=np.ascontiguousarray(lam[::-1]), embedded=W)
@@ -735,17 +737,24 @@ class QSvd:
     singular_values: np.ndarray
     v: QMatrix
 
-    def rank(self, rtol: float | None = None) -> int:
+    def rank(self) -> int:
         return _rank_from_sigma(self.singular_values, self.u.shape[0],
-                                self.v.shape[0], rtol)
+                                self.v.shape[0])
 
 
-def _rank_from_sigma(sigma: np.ndarray, m: int, n: int, rtol: float | None) -> int:
+def _rank_from_sigma(sigma: np.ndarray, m: int, n: int) -> int:
+    """The one rank cut: sigma above max(m, n) * RANK_RTOL * sigma_max."""
     if len(sigma) == 0:
         return 0
-    if rtol is None:
-        rtol = max(m, n) * RANK_RTOL
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    return int(np.count_nonzero(sigma > max(m, n) * RANK_RTOL * sigma[0]))
+
+
+def _chi_svd(M: QMatrix, full_matrices: bool) -> tuple[np.ndarray, ...]:
+    """One LAPACK SVD chi(M) = Wl diag(s) Wr*, as (Wl, sigma, Wr): sigma holds
+    the quaternionic singular values, read off s with its pairing validated."""
+    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M),
+                                     full_matrices=full_matrices)
+    return Wl, _validate_pairing(doubled, "singular"), Wrh.conj().T
 
 
 class _EmbeddedSvd(NamedTuple):
@@ -775,14 +784,10 @@ class _EmbeddedSvd(NamedTuple):
                             self.Wr[:, ::-1], self.null)
 
 
-def _embedded_svd(M: QMatrix, rtol: float | None,
-                  full_matrices: bool = False) -> _EmbeddedSvd:
-    """One LAPACK SVD of chi(M); full_matrices adds the embedded kernel."""
-    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M),
-                                     full_matrices=full_matrices)
-    sigma = _validate_pairing(doubled, "singular")
-    r = 2 * _rank_from_sigma(sigma, *M.shape, rtol)
-    Wr = Wrh.conj().T
+def _embedded_svd(M: QMatrix, full_matrices: bool = False) -> _EmbeddedSvd:
+    """_chi_svd cut at twice the rank; full_matrices adds the embedded kernel."""
+    Wl, sigma, Wr = _chi_svd(M, full_matrices)
+    r = 2 * _rank_from_sigma(sigma, *M.shape)
     return _EmbeddedSvd(Wl[:, :r], np.repeat(sigma, 2)[:r], Wr[:, :r],
                         Wr[:, r:] if full_matrices else None)
 
@@ -811,10 +816,8 @@ def svd(M: QMatrix) -> QSvd:
     recovered on each side alone, each in one block from a polar factor.
     """
     m, n = M.shape
-    Wl, doubled, Wrh = np.linalg.svd(complex_adjoint(M))
-    sigma = _validate_pairing(doubled, "singular")
+    Wl, sigma, Wr = _chi_svd(M, full_matrices=True)
     smax = float(sigma[0]) if len(sigma) else 0.0
-    Wr = Wrh.conj().T
     z = _group_values(np.append(sigma, 0.0), smax)[-1][0]
     # The embedding of (v, u) stacks the halves as (v top, u top, v bottom,
     # u bottom); the scaling makes each stacked column a unit vector.
@@ -830,11 +833,9 @@ def svd(M: QMatrix) -> QSvd:
 
 
 def operator_norm(M: QMatrix) -> float:
-    """Largest singular value, computed directly from the complex embedding."""
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return 0.0
-    values = np.linalg.svd(complex_adjoint(M), compute_uv=False)
-    return float(values[0]) if len(values) else 0.0
+    """Largest singular value; 0 for an empty matrix."""
+    sigma = _singular_values(M)
+    return float(sigma[0]) if len(sigma) else 0.0
 
 
 def _singular_values(M: QMatrix) -> np.ndarray:
@@ -844,55 +845,62 @@ def _singular_values(M: QMatrix) -> np.ndarray:
     return _validate_pairing(doubled, "singular")
 
 
-def matrix_rank(M: QMatrix, rtol: float | None = None) -> int:
-    return _rank_from_sigma(_singular_values(M), *M.shape, rtol)
+def matrix_rank(M: QMatrix) -> int:
+    return _rank_from_sigma(_singular_values(M), *M.shape)
 
 
-def pinv(M: QMatrix, rtol: float | None = None) -> QMatrix:
+def pinv(M: QMatrix) -> QMatrix:
     """Moore-Penrose pseudoinverse, folded back from that of chi(M)."""
-    return _embedded_svd(M, rtol).pinv()
+    return _embedded_svd(M).pinv()
 
 
-def kernel_basis(M: QMatrix, rtol: float | None = None) -> QMatrix:
+def kernel_basis(M: QMatrix) -> QMatrix:
     """Orthonormal basis of the right null space, shape n x (n - rank).
 
     Only the embedded kernel of chi(M) is recovered, as one group of zeros:
     a full SVD gives its null columns, and the thin SVD of one sketched
     block of them gives the basis.
     """
-    null = _embedded_svd(M, rtol, full_matrices=True).null
+    null = _embedded_svd(M, full_matrices=True).null
     return _polish(_recover(null, np.zeros(null.shape[1] // 2), 0.0))
 
 
-def solve_min_norm(M: QMatrix, v: QVector | QMatrix,
-                   rtol: float | None = None) -> QVector | QMatrix:
+def solve_min_norm(M: QMatrix, v: QVector | QMatrix) -> QVector | QMatrix:
     """Minimal-norm solution of M x = v, or of M X = V column by column for a
     block V; a right-hand side outside the range is rejected, naming the
     first column that is."""
     if M.shape[0] != v.shape[0]:
         raise ValueError(f"shape mismatch: {M.shape} against {v.shape}")
-    Wl, s, Wr, _ = _embedded_svd(M, rtol)
+    Wl, s, Wr, _ = _embedded_svd(M)
     va, vb = v.split
     z = np.concatenate([va, -vb.conj()])  # embed_vector of each column
     coeffs = Wl.conj().T @ z
-    resid = _norm(z - Wl @ coeffs, axis=0)
-    size = np.maximum(_norm(z, axis=0), 1e-300)
-    bad = np.flatnonzero(resid > RANGE_RTOL * size)
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"right-hand side column {k} is not in the range: "
-                         f"relative residual {np.ravel(resid / size)[k]:.3e}")
+    _require_columns_within(_norm(z - Wl @ coeffs, axis=0), _norm(z, axis=0),
+                            RANGE_RTOL, "right-hand side column {} is not in "
+                            "the range")
     x = Wr @ (coeffs.T / s).T
     n = M.shape[1]
     return type(v).from_split(x[:n], -x[n:].conj())
 
 
-def is_surjective(M: QMatrix, rtol: float | None = None) -> bool:
-    return matrix_rank(M, rtol) == M.shape[0]
+def is_surjective(M: QMatrix) -> bool:
+    return matrix_rank(M) == M.shape[0]
 
 
-def is_bounded_below(M: QMatrix, rtol: float | None = None) -> bool:
-    return matrix_rank(M, rtol) == M.shape[1]
+def is_bounded_below(M: QMatrix) -> bool:
+    return matrix_rank(M) == M.shape[1]
+
+
+def _require_columns_within(gap, size, tol: float, what: str) -> None:
+    """Raise a ValueError, what.format(k) and the relative residual, for the
+    first column k whose gap exceeds tol * max(size, 1e-300); gap and size
+    hold one number, or one per column of a block."""
+    size = np.maximum(size, 1e-300)
+    bad = np.flatnonzero(gap > tol * size)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"{what.format(k)}: relative residual "
+                         f"{np.ravel(gap / size)[k]:.3e}")
 
 
 def _require_orthonormal(B: QMatrix, what: str) -> None:
@@ -906,15 +914,8 @@ def _require_orthonormal(B: QMatrix, what: str) -> None:
 
 
 def _hermitian_outer(B: QMatrix) -> QMatrix:
-    """B B*, made exactly Hermitian, formed without a copy of B*.
-
-    The product P = B B* comes from _matmul_adjoint. Each term of P + P*
-    is halved before the sum, so an entry that fits in a double stays
-    finite; in the normal range halving is exact, and the result has the
-    bits of 0.5 * (P + P*).
-    """
-    pa, pb = (0.5 * h for h in _matmul_adjoint(B, B).split)
-    return _own(QMatrix, pa + pa.conj().T, pb - pb.T)
+    """B B*, formed without a copy of B*, made exactly Hermitian."""
+    return _hermitian_part(*_split_matmul_adjoint(*B.split, *B.split))
 
 
 def orthogonal_projector(B: QMatrix) -> QMatrix:

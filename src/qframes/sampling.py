@@ -45,11 +45,10 @@ def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:
     return _fold(_polar(complex_adjoint(random_matrix(n, n, rng)))[0])
 
 
-def random_positive_definite(n: int, rng: np.random.Generator,
-                             shift: float = 0.5) -> QMatrix:
-    """X X* + shift * I: Hermitian with spectrum bounded below by shift."""
+def random_positive_definite(n: int, rng: np.random.Generator) -> QMatrix:
+    """X X* / n + I / 2: Hermitian with spectrum bounded below by 1/2."""
     X = random_matrix(n, n, rng)
-    return (X @ X.H) * (1.0 / n) + QMatrix.identity(n) * shift
+    return (X @ X.H) * (1.0 / n) + QMatrix.identity(n) * 0.5
 
 
 def random_with_spectrum(m: int, n: int, sigma, rng: np.random.Generator) -> QMatrix:
@@ -68,10 +67,9 @@ def random_with_spectrum(m: int, n: int, sigma, rng: np.random.Generator) -> QMa
     return scaled @ v.H
 
 
-def random_invertible(n: int, rng: np.random.Generator,
-                      spread: tuple[float, float] = (0.5, 2.0)) -> QMatrix:
-    """Square matrix with singular values drawn inside a controlled interval."""
-    sigma = np.sort(rng.uniform(*spread, size=n))[::-1]
+def random_invertible(n: int, rng: np.random.Generator) -> QMatrix:
+    """Square matrix with singular values drawn uniformly from [0.5, 2)."""
+    sigma = np.sort(rng.uniform(0.5, 2.0, size=n))[::-1]
     return random_with_spectrum(n, n, sigma, rng)
 
 

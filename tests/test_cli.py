@@ -576,6 +576,20 @@ def test_usage_error_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["info", "dual", "parseval"])
+def test_dim_beyond_any_array_names_the_file_and_the_field(tmp_path, capsys,
+                                                           command):
+    # 16 * dim^2 bytes for S exceeds intp.max, so numpy cannot shape S; no
+    # dim below that bound is run here, since one may try to allocate it
+    path = tmp_path / "huge.json"
+    write_json(path, {"dim": 10 ** 12, "vectors": []})
+    assert 16 * 10 ** 24 > np.iinfo(np.intp).max
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f'error: {path}: "dim" is too large')
+
+
 def test_numerical_failure_is_labelled(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError, so main must catch it first
     write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))

@@ -10,8 +10,10 @@ from qframes.quaternion import I, J, K, ONE, Quaternion
 from qframes.qlinalg import (
     HERMITIAN_TOL,
     POLISH_TOL,
+    RANK_RTOL,
     QMatrix,
     QVector,
+    _embedded_svd,
     _fold,
     _hermitian_outer,
     _polar,
@@ -917,6 +919,24 @@ def test_surjective_and_bounded_below():
     for _ in range(50):
         M = random_matrix(rng.integers(1, 5), rng.integers(1, 5), rng)
         assert is_surjective(M) == is_bounded_below(M.H)
+
+
+@pytest.mark.parametrize("m, n", [(4, 12), (12, 4)])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_every_rank_reading_takes_the_one_cut(m, n, factor):
+    # sigma = (1, 1, 1, r) with r just below or just above the cut
+    # max(m, n) * RANK_RTOL * sigma_max
+    r = factor * max(m, n) * RANK_RTOL
+    M = random_with_spectrum(m, n, [1.0, 1.0, 1.0, r],
+                             np.random.default_rng(97))
+    rank = 4 if factor > 1 else 3
+    assert matrix_rank(M) == rank
+    assert svd(M).rank() == rank
+    assert is_surjective(M) == (rank == m)
+    assert is_bounded_below(M) == (rank == n)
+    assert matrix_rank(pinv(M)) == rank
+    assert len(_embedded_svd(M).s) // 2 == rank
+    assert kernel_basis(M).shape[1] == n - rank
 
 
 def test_orthogonal_projector():
