@@ -758,12 +758,9 @@ def _chi_svd(M: QMatrix, full_matrices: bool) -> tuple[np.ndarray, ...]:
 
 
 class _EmbeddedSvd(NamedTuple):
-    """SVD chi(M) = Wl diag(s) Wr* cut at twice the rank of M.
+    """Thin SVD chi(M) = Wl diag(s) Wr* cut at twice the rank of M.
 
-    null holds the remaining right columns of a full factorization, an
-    orthonormal basis of the kernel of chi(M), which is the embedded kernel
-    of M and closed under the j-partner; it is None for a thin one. The
-    factors come from one LAPACK SVD of chi(M) (_embedded_svd), or, for M of
+    The factors come from one LAPACK SVD of chi(M) (_embedded_svd), or, for M of
     full row rank whose M M* is already factored, from that eigensystem
     (_svd_from_eig), whose Wr is orthonormal only to about eps * cond(M M*).
     """
@@ -771,7 +768,6 @@ class _EmbeddedSvd(NamedTuple):
     Wl: np.ndarray
     s: np.ndarray
     Wr: np.ndarray
-    null: np.ndarray | None
 
     def pinv(self) -> QMatrix:
         """Moore-Penrose pseudoinverse of M, folded back from that of chi(M)."""
@@ -781,15 +777,14 @@ class _EmbeddedSvd(NamedTuple):
         """The same factorization of pinv(M)* = Wl diag(1/s) Wr*: the singular
         vectors are M's, and the columns run reversed so s stays descending."""
         return _EmbeddedSvd(self.Wl[:, ::-1], 1.0 / self.s[::-1],
-                            self.Wr[:, ::-1], self.null)
+                            self.Wr[:, ::-1])
 
 
-def _embedded_svd(M: QMatrix, full_matrices: bool = False) -> _EmbeddedSvd:
-    """_chi_svd cut at twice the rank; full_matrices adds the embedded kernel."""
-    Wl, sigma, Wr = _chi_svd(M, full_matrices)
+def _embedded_svd(M: QMatrix) -> _EmbeddedSvd:
+    """The thin _chi_svd cut at twice the rank."""
+    Wl, sigma, Wr = _chi_svd(M, full_matrices=False)
     r = 2 * _rank_from_sigma(sigma, *M.shape)
-    return _EmbeddedSvd(Wl[:, :r], np.repeat(sigma, 2)[:r], Wr[:, :r],
-                        Wr[:, r:] if full_matrices else None)
+    return _EmbeddedSvd(Wl[:, :r], np.repeat(sigma, 2)[:r], Wr[:, :r])
 
 
 def _svd_from_eig(M: QMatrix, eig: HermEig) -> _EmbeddedSvd:
@@ -803,7 +798,7 @@ def _svd_from_eig(M: QMatrix, eig: HermEig) -> _EmbeddedSvd:
     """
     Wl = eig.embedded[:, ::-1]
     s = np.repeat(np.sqrt(eig.eigenvalues), 2)
-    return _EmbeddedSvd(Wl, s, (complex_adjoint(M).conj().T @ Wl) / s, None)
+    return _EmbeddedSvd(Wl, s, (complex_adjoint(M).conj().T @ Wl) / s)
 
 
 def svd(M: QMatrix) -> QSvd:
@@ -858,10 +853,12 @@ def kernel_basis(M: QMatrix) -> QMatrix:
     """Orthonormal basis of the right null space, shape n x (n - rank).
 
     Only the embedded kernel of chi(M) is recovered, as one group of zeros:
-    a full SVD gives its null columns, and the thin SVD of one sketched
-    block of them gives the basis.
+    the right columns of a full SVD past twice the rank span it (it is
+    closed under the j-partner), and the thin SVD of one sketched block of
+    them gives the basis.
     """
-    null = _embedded_svd(M, full_matrices=True).null
+    _, sigma, Wr = _chi_svd(M, full_matrices=True)
+    null = Wr[:, 2 * _rank_from_sigma(sigma, *M.shape):]
     return _polish(_recover(null, np.zeros(null.shape[1] // 2), 0.0))
 
 
@@ -871,7 +868,7 @@ def solve_min_norm(M: QMatrix, v: QVector | QMatrix) -> QVector | QMatrix:
     first column that is."""
     if M.shape[0] != v.shape[0]:
         raise ValueError(f"shape mismatch: {M.shape} against {v.shape}")
-    Wl, s, Wr, _ = _embedded_svd(M)
+    Wl, s, Wr = _embedded_svd(M)
     va, vb = v.split
     z = np.concatenate([va, -vb.conj()])  # embed_vector of each column
     coeffs = Wl.conj().T @ z

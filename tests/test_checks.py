@@ -1,8 +1,11 @@
 """The verification-suite runner: registry shape, determinism, overrides."""
 
+import math
+
 import numpy as np
 import pytest
 
+import qframes.checks
 from qframes.checks import CHECKS, DEFAULT_SIZES, run_checks
 from qframes.qlinalg import inner, operator_norm
 from qframes.sampling import random_matrix, random_quaternion, random_vector
@@ -28,6 +31,38 @@ def test_default_suite_passes():
     for entry in report["checks"]:
         assert entry["passed"], entry
         assert entry["max_residual"] <= entry["tolerance"]
+
+
+@pytest.mark.parametrize("residuals, expected", [
+    ([], 0.0),
+    ([0.5, 2.0, 1.0], 2.0),
+    ([1.0, math.nan, 2.0], math.nan),
+    ([2.0, math.inf, math.nan], math.nan),
+    ([0.5, math.inf, 1.0], math.inf),
+], ids=["none", "largest", "nan", "nan-after-inf", "inf"])
+def test_a_check_returns_its_largest_residual_or_a_nan(monkeypatch, residuals,
+                                                       expected):
+    monkeypatch.setattr(qframes.checks, "CHECKS", [])
+    qframes.checks._check("x", "y", 1.0)(lambda rng, sizes: iter(residuals))
+    (check,) = qframes.checks.CHECKS
+    got = check.fn(np.random.default_rng(0), DEFAULT_SIZES)
+    assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+def test_a_nan_identity_fails_its_check(monkeypatch):
+    # the builtin max would drop a NaN that is not its first argument, and
+    # these four would read a finite residual and pass
+    monkeypatch.setattr("qframes.checks.operator_norm", lambda M: math.nan)
+    report = run_checks(seed=0)
+    failing = [entry for entry in report["checks"] if not entry["passed"]]
+    # bound-formula-agreement passes: it takes the builtin max and min over
+    # its three readings before it yields, so no NaN reaches the reduction
+    assert [entry["name"] for entry in failing] == [
+        "adjoint-defining-identity", "embedding-star-homomorphism",
+        "coefficient-transport", "equivalence-classification"]
+    for entry in failing:
+        assert entry["max_residual"] is None
+        assert entry["error"] == "residual is nan"
 
 
 def test_runner_is_deterministic():

@@ -1,5 +1,6 @@
 """End-to-end command line runs through a subprocess."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qframes.checks
 import qframes.frames
 from qframes.cli import _dumps, main
 from qframes.frames import Frame
@@ -401,6 +403,49 @@ def test_check_rejects_fewer_vectors_than_the_dimension(tmp_path):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and "(6, 4)" in res.stderr
+
+
+def test_check_rejects_an_empty_size_list(capsys):
+    # an empty --sizes is a bad size, not a request for the default sizes
+    assert main(["check", "--sizes", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad size '': expected NxM like 3x8\n"
+
+
+def _raises(rng, sizes):
+    raise ZeroDivisionError("float division by zero")
+
+
+@pytest.mark.parametrize("fn, error", [
+    (_raises, "ZeroDivisionError: float division by zero"),
+    (lambda rng, sizes: math.inf, "residual is inf"),
+    (lambda rng, sizes: math.nan, "residual is nan"),
+], ids=["raises", "inf", "nan"])
+def test_check_reports_a_failed_residual_as_null_with_its_error(
+        monkeypatch, capsys, fn, error):
+    # the report stays strict JSON, and the command exits 1, not 2
+    first, *rest = qframes.checks.CHECKS
+    monkeypatch.setattr(qframes.checks, "CHECKS",
+                        [dataclasses.replace(first, fn=fn), *rest])
+    assert main(["check"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[:2] == [
+        f"FAIL {first.name}: max residual none (tolerance {first.tolerance:.1e})",
+        f"     error: {error}"]
+    assert lines[-1] == f"{len(rest)} of {len(rest) + 1} checks passed"
+    assert err == ""
+
+    assert main(["check", "--json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out, parse_constant=pytest.fail)
+    assert report["checks"][0] == {
+        "name": first.name, "description": first.description,
+        "max_residual": None, "tolerance": first.tolerance, "passed": False,
+        "error": error}
+    assert report["failures"] == 1
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
