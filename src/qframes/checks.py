@@ -564,9 +564,11 @@ def _equivalence(rng, sizes) -> Iterator[float]:
             if up.relation != "none" or up.witness is None:
                 yield 1.0
                 return
+            norm_h = operator_norm(H.synthesis)
+            norm_f = operator_norm(F.synthesis)
             for w in (down.witness, up.witness):
-                yield _rel((H.synthesis @ w).norm(), operator_norm(H.synthesis))
-                if (F.synthesis @ w).norm() <= 1e-6 * operator_norm(F.synthesis):
+                yield _rel((H.synthesis @ w).norm(), norm_h)
+                if (F.synthesis @ w).norm() <= 1e-6 * norm_f:
                     yield 1.0
                     return
 

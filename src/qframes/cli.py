@@ -7,7 +7,7 @@ JSON output is byte for byte json.dumps(indent=2, allow_nan=False) plus a
 newline: _dumps writes rectangular nests of floats, the bulk of a frame file,
 in one pass, and hands every other value to json. Exit codes: 0 success,
 1 failed verification (the check suite), 2 usage or malformed input,
-including an entry that is not a number.
+including an entry that is not a number, or a problem too large for memory.
 """
 
 from __future__ import annotations
@@ -500,6 +500,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a file numpy can shape but the host cannot hold
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -8,8 +8,9 @@ n x m matrix whose columns are the u_i, and every derived family is a new T:
     Frame.from_synthesis(L @ T)                  # its image {L u_i}
 
 The frame operator is S = T T* = sum u_i u_i*, and the optimal bounds are the
-extreme eigenvalues of S. Coefficient, dual, and normalization routines all
-run through the spectral factorization of S; families whose frame operator is
+extreme eigenvalues of S. Dual and normalization routines run through the
+spectral factorization of S, and every expansion reads the canonical dual
+D = S^-1 T: the frame coefficients are D* u. Families whose frame operator is
 singular are reported as rank-deficient rather than rejected.
 
 T, T* and S are right H-linear, so they act on a block U, a QMatrix whose
@@ -174,6 +175,7 @@ class Frame:
     def _adjoint(self) -> QMatrix:
         """T*, m x n, the analysis operator, formed once for every later use.
 
+        A canonical dual's D* is also its primal frame's coefficient map.
         S = T T* does not keep it: S is formed once, and the Parseval frame
         built only to be reported would hold its T* for nothing.
         """
@@ -272,8 +274,12 @@ class Frame:
     # -- coefficients and reconstruction ---------------------------------
 
     def coefficients(self, u: QVector | QMatrix) -> QVector | QMatrix:
-        """Frame coefficients c_i = <u_i, S^-1 u>, the minimal-norm expansion."""
-        return self._adjoint @ (self._inverse_operator @ u)
+        """Frame coefficients c_i = <S^-1 u_i, u>, the minimal-norm expansion.
+
+        They are the analysis of the canonical dual, D* u with D = S^-1 T:
+        one product through the dual's cached D*.
+        """
+        return self._dual._adjoint @ u
 
     def reconstruct(self, coeffs: QVector | QMatrix) -> QVector | QMatrix:
         """Synthesize sum u_i c_i from a coefficient vector, or from each
@@ -288,8 +294,9 @@ class Frame:
         return self.reconstruct(self.coefficients(u))
 
     def dual_expansion(self, u: QVector | QMatrix) -> QVector | QMatrix:
-        """The mirrored expansion sum (S^-1 u_i) <u_i, u>; also equals u."""
-        return self._inverse_operator @ (self.synthesis @ self.analysis(u))
+        """The mirrored expansion sum (S^-1 u_i) <u_i, u>, that is D T* u;
+        also equals u."""
+        return self._dual.synthesis @ self.analysis(u)
 
     def pythagoras_check(self, u: QVector | QMatrix,
                          offered: QVector | QMatrix) -> PythagorasCheck:

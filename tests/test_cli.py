@@ -635,6 +635,27 @@ def test_dim_beyond_any_array_names_the_file_and_the_field(tmp_path, capsys,
     assert err.startswith(f'error: {path}: "dim" is too large')
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 14.9 TiB for an array with shape (1000000, 1000000)",
+     "Unable to allocate 14.9 TiB for an array with shape (1000000, 1000000)"),
+    ("", "an allocation failed"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                         message, shown):
+    # a dim numpy can shape but the host cannot hold fails allocating S;
+    # that allocation is stood in for here, never attempted
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+
+    def failing(T):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(qframes.frames, "_hermitian_outer", failing)
+    assert main(["info", str(tmp_path / "f.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory: {shown}\n"
+
+
 def test_numerical_failure_is_labelled(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError, so main must catch it first
     write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))

@@ -212,8 +212,11 @@ def test_collinear_family_is_not_a_frame():
 
 def test_rank_deficient_family_blocks_coefficients():
     fr = Frame([e(2, 0)])
-    with pytest.raises(ValueError, match="rank-deficient"):
-        fr.coefficients(e(2, 0))
+    for expand in (fr.coefficients, fr.natural_representation,
+                   fr.dual_expansion):
+        with pytest.raises(ValueError,
+                           match="rank-deficient; operation needs a frame"):
+            expand(e(2, 0))
 
 
 def test_frame_inequality_random():
@@ -349,15 +352,39 @@ def test_solve_min_norm_block_names_the_first_column_off_the_range(
             assert _column_gap(X, j, column) <= 1e-12
 
 
-def test_block_coefficients_are_two_products(split_products):
+def test_block_coefficients_are_one_product_through_the_cached_dual(
+        split_products):
     rng = np.random.default_rng(71)
     F = random_frame(4, 10, rng)
     U = QMatrix(rng.standard_normal((4, 100, 4)))
-    F.coefficients(U.column(0))  # forms and caches T* and S^-1
+    F.coefficients(U.column(0))  # forms and caches the dual D and its D*
     split_products.clear()
     C = F.coefficients(U)
     assert C.shape == (10, 100)
-    assert split_products == [4, 4]
+    assert split_products == [4]
+
+
+def test_block_dual_expansion_is_two_products(split_products):
+    rng = np.random.default_rng(72)
+    F = random_frame(4, 10, rng)
+    U = QMatrix(rng.standard_normal((4, 100, 4)))
+    F.dual_expansion(U.column(0))  # forms and caches T* and the dual D
+    split_products.clear()
+    X = F.dual_expansion(U)
+    assert X.shape == (4, 100)
+    # T* U, then D (T* U)
+    assert split_products == [4, 10]
+
+
+def test_coefficients_are_the_analysis_of_the_canonical_dual():
+    rng = np.random.default_rng(73)
+    F = random_frame(4, 10, rng)
+    U = QMatrix(rng.standard_normal((4, 7, 4)))
+    assert np.array_equal(F.coefficients(U).components,
+                          F.canonical_dual().analysis(U).components)
+    u = U.column(0)
+    assert np.array_equal(F.coefficients(u).components,
+                          F.canonical_dual().analysis(u).components)
 
 
 def test_natural_representation_recovers_vector():
@@ -760,7 +787,8 @@ def test_frame_calculus_forms_each_product_once(split_products, monkeypatch):
     # S = T T*, T D*, S^-1 S, the Parseval frame's S, S^-1 T and S^-1/2 T
     assert len(split_products) == 6
     assert split_products.count(40) == 3
-    # T* is formed once, however often it is applied
+    # D* is formed once for coefficients and T* once for analysis, however
+    # often each is applied
     adjoint = QMatrix.H.fget
     taken = []
 
@@ -774,7 +802,9 @@ def test_frame_calculus_forms_each_product_once(split_products, monkeypatch):
         u = random_vector(4, rng)
         fr.coefficients(u)
         fr.analysis(u)
-    assert len(taken) == 1 and taken[0] is fr.synthesis
+    assert len(taken) == 2
+    assert taken[0] is fr.canonical_dual().synthesis
+    assert taken[1] is fr.synthesis
 
 
 def test_frame_calculus_copies_no_adjoint(monkeypatch):
