@@ -16,11 +16,10 @@ back to the nearest quaternionic matrix, and ranks read the singular values
 alone. The kernel of chi(M) is the embedded kernel of M, so a kernel basis
 needs only the null columns of one full SVD. Quaternionic eigenvectors and
 singular vectors are recovered only on request: a simple value takes one
-embedded column of its pair, a group of zeros (a null space) is taken in
-one block from the polar factor of a sketch of it, a cluster of close
-nonzero values is orthonormalized inside itself vector by vector, and at
-most two Newton-Schulz steps make the columns orthonormal to rounding; the
-polish stops as soon as they are.
+embedded column of its pair, every degenerate group (a cluster of close
+values, or a null space) is taken in one block from one polar factor, and
+at most two Newton-Schulz steps make the columns orthonormal to rounding;
+the polish stops as soon as they are.
 
 The 2n x 2n embedding exists only inside the LAPACK calls and the GEMMs
 around them. Every elementwise step (the Hermitian check, symmetrizing, the
@@ -49,7 +48,7 @@ ORTHONORMAL_TOL = 1e-10  # entrywise check for orthonormal-column inputs
 RANK_RTOL = 1e-12        # rank cutoff is max(m, n) * RANK_RTOL * sigma_max
 RANGE_RTOL = 1e-8        # admissible relative distance of a RHS from the range
 POLISH_TOL = 1e-14       # entrywise U*U - I drift at which the polish stops
-NULL_SKETCH_FLOOR = 1e-4  # least sigma_min / sigma_max of a sketched null block
+SKETCH_FLOOR = 1e-4      # least sigma_min / sigma_max of [Y, partner(Y)]
 
 __all__ = [
     "QVector", "QMatrix", "HermEig", "QSvd",
@@ -493,10 +492,14 @@ def unembed_vector(z: np.ndarray) -> QVector:
 
 def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
     """Contiguous groups (start, stop) of near-coincident sorted values."""
+    # Each term is halved before its difference and its sum, so values near
+    # the largest double group without overflow; in the normal range halving
+    # is exact.
     groups = []
     start = 0
     for t in range(1, len(values)):
-        if abs(values[t] - values[t - 1]) > CLUSTER_TOL * (scale + abs(values[t])):
+        if (abs(0.5 * values[t] - 0.5 * values[t - 1])
+                > CLUSTER_TOL * (0.5 * scale + 0.5 * abs(values[t]))):
             groups.append((start, t))
             start = t
     if len(values):
@@ -534,31 +537,6 @@ def _partner(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z[n:], -z[:n]]).conj()
 
 
-def _group_basis(C: np.ndarray, need: int) -> np.ndarray:
-    """`need` embedded vectors spanning the j-closed column space of C.
-
-    Each step takes a pivot, the first candidate whose residual is at least
-    half the largest, and projects it and its j-partner out of the others, so
-    the chosen vectors are orthonormal in the quaternionic inner product.
-    Taking the first rather than the largest keeps the vectors in the order
-    of their values when a group holds close but distinct values.
-    """
-    C = C.copy()
-    out = np.empty((C.shape[0], need), dtype=complex)
-    for t in range(need):
-        norms = np.linalg.norm(C, axis=0)
-        if norms.max() < 1e-6:
-            raise np.linalg.LinAlgError(
-                "failed to recover an orthonormal quaternionic system from the "
-                "embedded spectrum")
-        p = int(np.argmax(norms >= 0.5 * norms.max()))
-        z = C[:, p] / norms[p]
-        out[:, t] = z
-        E = np.column_stack([z, _partner(z)])
-        C -= E @ (E.conj().T @ C)
-    return out
-
-
 def _polar(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The polar factor Wl Wr* of a complex block P, the orthonormal factor
     nearest to it, and the singular values, from one LAPACK SVD.
@@ -566,7 +544,7 @@ def _polar(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The factor is P (P* P)^(-1/2). When P* P has the block structure of an
     embedding, so does its inverse root, and the factor keeps the pairing of
     P: it is chi(Q) for P = chi(X), and [Z, partner(Z)] for P = [Y,
-    partner(Y)], which is how a j-closed column span is sketched.
+    partner(Y)], which is how a degenerate group is orthonormalized.
     """
     Wl, s, Wrh = np.linalg.svd(P, full_matrices=False)
     return Wl @ Wrh, s
@@ -580,23 +558,29 @@ def _sketch(k: int) -> np.ndarray:
     return G
 
 
-def _null_basis(C: np.ndarray) -> np.ndarray:
+def _group_basis(C: np.ndarray) -> np.ndarray:
     """k embedded vectors, orthonormal in the quaternionic inner product,
     spanning the j-closed column space of the orthonormal 2n x 2k block C.
 
-    The sketch Y = C G has k columns, and P = [Y, partner(Y)] spans the space
-    of C whenever its quaternionic columns are independent; the first k
-    columns of the polar factor of P are then the basis, in one block. A
-    sketch whose P is more ill-conditioned than NULL_SKETCH_FLOOR would lose
-    digits of the span, and the block is orthonormalized column by column
-    instead.
+    For a block Y of k columns in that space, P = [Y, partner(Y)] spans it
+    whenever its quaternionic columns are independent, and the first k
+    columns of the polar factor of P are then the basis, in one block. Y is
+    first one column of each LAPACK pair. Those run in value order, and the
+    polar factor is the orthonormal matrix nearest to P, so the vectors of
+    close values keep their order. Coinciding values have no order to keep,
+    and their pairs may mix so that this P is singular; Y is then the
+    sketch C G. A P more ill-conditioned than SKETCH_FLOOR would lose digits
+    of the span.
     """
     k = C.shape[1] // 2
-    Y = C @ _sketch(k)
-    Q, s = _polar(np.hstack([Y, _partner(Y)]))
-    if s[-1] < NULL_SKETCH_FLOOR * s[0]:
-        return _group_basis(C, k)
-    return Q[:, :k]
+    for sketched in (False, True):
+        Y = C @ _sketch(k) if sketched else C[:, 0::2]
+        Q, s = _polar(np.hstack([Y, _partner(Y)]))
+        if s[-1] >= SKETCH_FLOOR * s[0]:
+            return Q[:, :k]
+    raise np.linalg.LinAlgError(
+        "failed to recover an orthonormal quaternionic system from the "
+        "embedded spectrum")
 
 
 def _recover(W: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
@@ -605,16 +589,12 @@ def _recover(W: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
     The j-partner of an embedded eigenvector lies in its own eigenspace, so
     vectors of different groups are already quaternion-orthogonal: a simple
     value takes one column of its pair, and only degenerate groups are
-    orthonormalized, inside the group. A group of zeros, a null space, has
-    no order to keep and is taken in one block from a polar factor; a group
-    of close nonzero values is taken vector by vector, in value order.
+    orthonormalized, inside the group, each in one block (_group_basis).
     """
     Z = W[:, 0::2].copy()
     for start, stop in _group_values(values, scale):
         if stop - start > 1:
-            C = W[:, 2 * start:2 * stop]
-            Z[:, start:stop] = (_group_basis(C, stop - start)
-                                if values[start:stop].any() else _null_basis(C))
+            Z[:, start:stop] = _group_basis(W[:, 2 * start:2 * stop])
     return Z
 
 

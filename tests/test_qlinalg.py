@@ -332,8 +332,9 @@ def test_herm_eig_close_groups_stay_orthonormal(split_products):
     # 1 and 1 + 5e-10 lie just outside CLUSTER_TOL, so LAPACK's vectors of
     # the two groups carry cross terms of order 1e-6 that the polish has to
     # remove in Newton-Schulz steps; 1 and 1 + 5e-11 form one group whose
-    # vectors must still follow their values, and which is orthonormalized
-    # inside itself, so its polish stops at the first Gram matrix
+    # vectors must still follow their values: its polar factor is the
+    # orthonormal block nearest to LAPACK's columns, so its polish stops at
+    # the first Gram matrix
     rng = np.random.default_rng(57)
     for lam, products in (([3.0, 2.0, 1.0 + 5e-10, 1.0], (3, 4)),
                           ([3.0, 2.0, 1.0 + 5e-11, 1.0], (1,)),
@@ -548,6 +549,28 @@ def test_apply_at_the_edge_of_the_double_range():
         root = eig.apply(np.sqrt)
     assert inv.components.tolist() == [[[2.0 ** 1022, 0.0, 0.0, 0.0]]]
     assert root.components.tolist() == [[[2.0 ** -511, 0.0, 0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("lam", ([1.7e308, 1e308, -1.7e308],
+                                 [1e308, 1e308, 5e307],
+                                 [1.7e308, 1e308, 1e300],
+                                 [3e-323, 2e-323, 1e-323],
+                                 [5e-324] * 4))
+def test_vectors_at_the_ends_of_the_double_range(lam):
+    # values near the largest double are grouped without overflow, so
+    # distinct ones keep vectors of their own: each column lies on the
+    # diagonal entries that hold its value; subnormal spectra recover too
+    M = QMatrix.diag(lam)
+    lam = np.asarray(lam)
+    n = len(lam)
+    eig, fac = herm_eig(M), svd(M)
+    for U, values, diag in ((eig.eigenvectors, eig.eigenvalues, lam),
+                            (fac.u, fac.singular_values, np.abs(lam)),
+                            (fac.v, fac.singular_values, np.abs(lam))):
+        assert (U.H @ U - QMatrix.identity(n)).entry_moduli().max() <= 1e-13
+        if np.unique(diag).size > 1:
+            off = diag[:, None] != values[None, :]
+            assert U.entry_moduli()[off].max() <= 1e-15
 
 
 def test_split_matmul_adjoint_is_the_product_with_the_adjoint():
@@ -858,41 +881,69 @@ def test_null_spaces_stay_orthonormal_at_every_rank_and_scale():
 
 
 @pytest.fixture
-def group_basis_calls(monkeypatch):
-    """Record the group size of every vector-by-vector _group_basis call."""
+def polar_calls(monkeypatch):
+    """Record the column count of every _polar call of the recovery."""
     calls = []
-    group_basis = qframes.qlinalg._group_basis
+    polar = qframes.qlinalg._polar
 
-    def counting(C, need):
-        calls.append(need)
-        return group_basis(C, need)
+    def counting(P):
+        calls.append(P.shape[1])
+        return polar(P)
 
-    monkeypatch.setattr(qframes.qlinalg, "_group_basis", counting)
+    monkeypatch.setattr(qframes.qlinalg, "_polar", counting)
     return calls
 
 
-def test_null_groups_skip_the_vector_by_vector_basis(group_basis_calls):
-    # a group of zeros is taken in one block from a polar factor; a group of
-    # close nonzero values still goes vector by vector, in value order
-    calls = group_basis_calls
+def test_each_degenerate_group_takes_one_polar_factor(polar_calls):
+    # a cluster of close values and a null space alike are one block
+    # [Y, partner(Y)] of 2k columns, orthonormalized by one polar factor
     rng = np.random.default_rng(95)
-    for m, n in ((3, 8), (8, 3), (4, 4)):
-        for rank in range(min(m, n)):
-            M = random_rank_deficient(m, n, rank, rng)
-            kernel_basis(M)
-            svd(M)
-    assert herm_eig(QMatrix.zeros(3, 3)).eigenvectors.shape == (3, 3)
-    assert calls == []
     Q = random_unitary(4, rng)
     M = Q @ QMatrix.diag([3.0, 2.0, 1.0 + 5e-11, 1.0]) @ Q.H
+    polar_calls.clear()
     herm_eig(M).eigenvectors
-    assert calls == [2]
+    assert polar_calls == [4]
+    polar_calls.clear()
+    herm_eig(QMatrix.zeros(3, 3)).eigenvectors
+    assert polar_calls == [6]
+    # rank 0 is left out: the LAPACK columns of a zero matrix are those of
+    # an identity, which reach the sketch for even sizes (next test)
+    for m, n in ((3, 8), (8, 3), (4, 4)):
+        for rank in range(1, min(m, n)):
+            M = random_rank_deficient(m, n, rank, rng)
+            polar_calls.clear()
+            kernel_basis(M)
+            assert polar_calls == [2 * d for d in (n - rank,) if d > 1]
+            polar_calls.clear()
+            svd(M)
+            assert polar_calls == [2 * d for d in (n - rank, m - rank)
+                                   if d > 1]
 
 
-def test_a_sketch_that_loses_the_span_falls_back(group_basis_calls,
-                                                 monkeypatch):
+def test_coinciding_values_reach_the_sketch_and_stay_orthonormal(
+        polar_calls):
+    # LAPACK's columns of an identity pair e_t with the partner of another
+    # even column for even n, so that [Y, partner(Y)] is singular and the
+    # group is taken from the sketch instead; the scalings are exact
+    sketched = set()
+    for n in range(1, 11):
+        for k in (-600, 0, 600):
+            M = QMatrix.identity(n) * 2.0 ** k
+            polar_calls.clear()
+            U = herm_eig(M).eigenvectors
+            assert len(polar_calls) == (0 if n == 1 else 1 if n % 2 else 2)
+            if len(polar_calls) == 2:
+                sketched.add(n)
+            drift = (U.H @ U - QMatrix.identity(n)).entry_moduli()
+            assert drift.max() <= 1e-13
+    assert sketched == {2, 4, 6, 8, 10}
+
+
+def test_a_sketch_below_the_floor_is_used_only_when_needed(polar_calls,
+                                                           monkeypatch):
     # a sketch with equal columns makes [Y, partner(Y)] singular, below
-    # NULL_SKETCH_FLOOR; the group is then orthonormalized vector by vector
+    # SKETCH_FLOOR: a null space whose LAPACK columns already span it never
+    # reads the sketch, and a group that needs it fails to recover
     def degenerate(k):
         G = np.ones((2 * k, k), dtype=complex)
         G[:, 0] = np.arange(1, 2 * k + 1)
@@ -901,10 +952,14 @@ def test_a_sketch_that_loses_the_span_falls_back(group_basis_calls,
     monkeypatch.setattr(qframes.qlinalg, "_sketch", degenerate)
     M = random_rank_deficient(3, 7, 2, np.random.default_rng(96))
     null = kernel_basis(M)
-    assert group_basis_calls == [5]
+    assert polar_calls == [10]
     drift = null.H @ null - QMatrix.identity(5)
     assert drift.entry_moduli().max() <= 1e-13
     assert frob(M @ null) <= 1e-13 * frob(M)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="failed to recover an orthonormal quaternionic "
+                             "system from the embedded spectrum"):
+        herm_eig(QMatrix.identity(4)).eigenvectors
 
 
 def test_surjective_and_bounded_below():
