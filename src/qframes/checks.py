@@ -358,8 +358,9 @@ def _bound_formulas(rng, sizes) -> Iterator[float]:
                  1.0 / operator_norm(pinv(T)) ** 2)
         upper = (bounds.upper, operator_norm(F.frame_operator),
                  operator_norm(T) ** 2)
-        yield _rel(max(lower) - min(lower), min(lower))
-        yield _rel(max(upper) - min(upper), min(upper))
+        # numpy's max and min carry a NaN reading through; the builtins drop it
+        yield _rel(float(np.ptp(lower)), float(np.min(lower)))
+        yield _rel(float(np.ptp(upper)), float(np.min(upper)))
 
 
 @_check("reconstruction-identity",

@@ -25,7 +25,10 @@ The 2n x 2n embedding exists only inside the LAPACK calls and the GEMMs
 around them. Every elementwise step (the Hermitian check, symmetrizing, the
 fold of a matrix function) runs on the n x n split halves (A, B), and a
 product X Y* reads the transposes of Y's halves as views instead of
-forming Y*.
+forming Y*. A product known to be Hermitian forms each block once: X X*
+(the frame operator, a projector, a Gram matrix) takes one GEMM for the
+j-half and its transpose, and a matrix function never forms the lower
+left block of its embedding, the conjugate transpose of the upper right.
 """
 
 from __future__ import annotations
@@ -110,8 +113,14 @@ def _vector_components(entries, where: str = "entry") -> np.ndarray:
 def _split_from_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Each pair of real components is read as one complex number in place, so
     # every bit (the sign of a zero included) survives; the halves are copied,
-    # so they never alias the caller's array, and made read-only.
-    z = np.ascontiguousarray(comps, dtype=float).view(complex)
+    # so they never alias the caller's array, and made read-only. The view
+    # needs only the last axis contiguous, as it is in a transposed array, so
+    # the components are copied only when numpy refuses it.
+    comps = np.asarray(comps, dtype=float)
+    try:
+        z = comps.view(complex)
+    except ValueError:
+        z = np.ascontiguousarray(comps).view(complex)
     a, b = z[..., 0].copy(), z[..., 1].copy()
     a.setflags(write=False)
     b.setflags(write=False)
@@ -419,6 +428,14 @@ def _split_matmul_adjoint(A1, B1, A2, B2):
     return a, b
 
 
+def _split_outer(A, C):
+    """(A + C*j)(A + C*j)*, in three GEMMs: the split is (A A^H + C C^H,
+    Z - Z^T) with Z = C A^T, since the second term of the j-half, A C^T, is
+    Z^T exactly."""
+    Z = C @ A.T
+    return A @ A.conj().T + C @ C.conj().T, Z - Z.T
+
+
 def _matmul_adjoint(X: QMatrix, Y: QMatrix) -> QMatrix:
     """X Y*, formed by _split_matmul_adjoint without a copy of Y*."""
     return _own(QMatrix, *_split_matmul_adjoint(*X.split, *Y.split))
@@ -510,12 +527,23 @@ def _group_values(values: np.ndarray, scale: float) -> list[tuple[int, int]]:
 def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
     """The quaternionic values of a doubled spectrum, sorted as LAPACK
     returns it, so its largest modulus sits at one end."""
-    # Each term is scaled before the sum, so values near the largest double
-    # pair without overflow; in the normal range halving is exact.
+    # Each pair mean is correctly rounded. Below 2^1023 no sum or difference
+    # of two values overflows, and a sum is exact whenever it is subnormal,
+    # so halving it rounds once and the smallest subnormal survives. From
+    # 2^1023 up, the terms are halved before the sum and the pairing test
+    # compares halved values; halving is exact from 2^-1021 up, and a pair
+    # whose mean lies below 1 is summed first.
     even, odd = doubled[0::2], doubled[1::2]
-    mid = 0.5 * even + 0.5 * odd
     scale = max(abs(doubled[0]), abs(doubled[-1])) if len(doubled) else 0.0
-    bad = np.abs(even - odd) > PAIR_TOL * scale + PAIR_TOL * np.abs(mid)
+    if scale < 2.0 ** 1023:
+        mid = 0.5 * (even + odd)
+        bad = np.abs(even - odd) > PAIR_TOL * scale + PAIR_TOL * np.abs(mid)
+    else:
+        mid = 0.5 * even + 0.5 * odd
+        small = np.abs(mid) < 1.0
+        mid[small] = 0.5 * (even[small] + odd[small])
+        bad = (np.abs(0.5 * even - 0.5 * odd)
+               > PAIR_TOL * (0.5 * scale + 0.5 * np.abs(mid)))
     if bad.any():
         t = int(np.argmax(bad))
         raise np.linalg.LinAlgError(
@@ -606,13 +634,14 @@ def _polish(Z: np.ndarray) -> QMatrix:
     eps / gap, up to about 1e-6. Each Newton-Schulz step squares them (one
     step leaves about 1e-12), and the mixing it applies reaches a
     factorization only multiplied by the gap between the groups. Columns
-    already orthonormal to rounding cost only the Gram matrix that shows it.
+    already orthonormal to rounding cost only the Gram matrix that shows it,
+    U*U, which _split_outer forms as X X* for X = U*.
     """
     n = Z.shape[0] // 2
     a, b = Z[:n].copy(), -Z[n:].conj()
     eye = np.eye(Z.shape[1])
     for _ in range(2):
-        ga, gb = _split_matmul(a.conj().T, -b.T, a, b)
+        ga, gb = _split_outer(a.conj().T, -b.T)
         if _entry_moduli(ga - eye, gb).max(initial=0.0) <= POLISH_TOL:
             break
         a, b = _split_matmul(a, b, 1.5 * eye - 0.5 * ga, -0.5 * gb)
@@ -639,19 +668,23 @@ class HermEig:
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> QMatrix:
         """U diag(fn(eigenvalues)) U*, exactly Hermitian.
 
-        The one product X = W diag(fn / 2) W* is the only 2n x 2n pass. It
-        is folded first, P = X11 + conj(X22) and Q = X12 - conj(X21), and
-        symmetrized second, as (P + P*) / 2 and (Q - Q^T) / 2, on the n x n
-        blocks: all four blocks of X still average, and the halves are
-        Hermitian and skew-symmetric bit for bit. Each term is halved before
-        its sum, so no sum exceeds max |fn| by more than rounding.
+        X = W diag(fn / 2) W* is formed in n x n blocks. For any W and real
+        fn, conj(X21) = X12^T, so X21 is never formed: the top block row
+        gives X11 and X12, and one n x 2n x n product gives X22. X is folded
+        first, P = X11 + conj(X22) and Q = X12 - X12^T, and symmetrized
+        second, as (P + P*) / 2 and (Q - Q^T) / 2, on the n x n blocks: both
+        diagonal blocks still average, and the halves are Hermitian and
+        skew-symmetric bit for bit. Each term is halved before its sum, so
+        no sum exceeds max |fn| by more than rounding.
         """
         values = np.asarray(fn(self.eigenvalues), dtype=float)
         W = self.embedded
-        X = (W * np.repeat(0.5 * values[::-1], 2)) @ W.conj().T
-        n = X.shape[0] // 2
-        return _hermitian_part(X[:n, :n] + X[n:, n:].conj(),
-                               X[:n, n:] - X[n:, :n].conj())
+        n = W.shape[0] // 2
+        V, Wh = W * np.repeat(0.5 * values[::-1], 2), W.conj().T
+        top = V[:n] @ Wh
+        x12 = top[:, n:]
+        return _hermitian_part(top[:, :n] + (V[n:] @ Wh[:, n:]).conj(),
+                               x12 - x12.T)
 
     @cached_property
     def eigenvectors(self) -> QMatrix:
@@ -883,7 +916,9 @@ def _require_columns_within(gap, size, tol: float, what: str) -> None:
 def _require_orthonormal(B: QMatrix, what: str) -> None:
     """Raise a ValueError starting with `what` unless B*B = I entrywise
     within ORTHONORMAL_TOL, naming the Gram entry furthest off."""
-    drift = (B.H @ B - QMatrix.identity(B.shape[1])).entry_moduli()
+    a, b = B.split
+    ga, gb = _split_outer(a.conj().T, -b.T)
+    drift = _entry_moduli(ga - np.eye(B.shape[1]), gb)
     if np.any(drift > ORTHONORMAL_TOL):
         i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise ValueError(f"{what}: Gram entry ({i}, {k}) is off by "
@@ -891,8 +926,9 @@ def _require_orthonormal(B: QMatrix, what: str) -> None:
 
 
 def _hermitian_outer(B: QMatrix) -> QMatrix:
-    """B B*, formed without a copy of B*, made exactly Hermitian."""
-    return _hermitian_part(*_split_matmul_adjoint(*B.split, *B.split))
+    """B B*, formed by _split_outer without a copy of B*, made exactly
+    Hermitian."""
+    return _hermitian_part(*_split_outer(*B.split))
 
 
 def orthogonal_projector(B: QMatrix) -> QMatrix:

@@ -53,21 +53,21 @@ def split_products(monkeypatch):
     """Record the inner dimension of every quaternionic product kernel call.
 
     Every quaternionic product, matrix by matrix or matrix by vector, is one
-    call of qlinalg._split_matmul, or of qlinalg._split_matmul_adjoint for a
-    product X Y*; its inner dimension is the column count of the left factor.
+    call of qlinalg._split_matmul, of qlinalg._split_matmul_adjoint for a
+    product X Y*, or of qlinalg._split_outer for a Hermitian X X*; its inner
+    dimension is the column count of the left factor's first half.
     """
     inner = []
 
     def counting(kernel):
-        def count(A1, B1, A2, B2):
+        def count(A1, *halves):
             inner.append(A1.shape[1])
-            return kernel(A1, B1, A2, B2)
+            return kernel(A1, *halves)
         return count
 
-    monkeypatch.setattr(qframes.qlinalg, "_split_matmul",
-                        counting(qframes.qlinalg._split_matmul))
-    monkeypatch.setattr(qframes.qlinalg, "_split_matmul_adjoint",
-                        counting(qframes.qlinalg._split_matmul_adjoint))
+    for name in ("_split_matmul", "_split_matmul_adjoint", "_split_outer"):
+        monkeypatch.setattr(qframes.qlinalg, name,
+                            counting(getattr(qframes.qlinalg, name)))
     return inner
 
 

@@ -51,15 +51,14 @@ def test_a_check_returns_its_largest_residual_or_a_nan(monkeypatch, residuals,
 
 def test_a_nan_identity_fails_its_check(monkeypatch):
     # the builtin max would drop a NaN that is not its first argument, and
-    # these four would read a finite residual and pass
+    # these five would read a finite residual and pass
     monkeypatch.setattr("qframes.checks.operator_norm", lambda M: math.nan)
     report = run_checks(seed=0)
     failing = [entry for entry in report["checks"] if not entry["passed"]]
-    # bound-formula-agreement passes: it takes the builtin max and min over
-    # its three readings before it yields, so no NaN reaches the reduction
     assert [entry["name"] for entry in failing] == [
         "adjoint-defining-identity", "embedding-star-homomorphism",
-        "coefficient-transport", "equivalence-classification"]
+        "bound-formula-agreement", "coefficient-transport",
+        "equivalence-classification"]
     for entry in failing:
         assert entry["max_residual"] is None
         assert entry["error"] == "residual is nan"

@@ -757,12 +757,15 @@ def test_report_of_rank_deficient_family():
 @pytest.mark.parametrize("n, m", [(3, 8), (12, 36), (64, 192)])
 def test_report_matches_the_product_formulas(n, m):
     # the residuals read the cached S and dual; the reference forms every
-    # product afresh: T (T* S^-1) - I and S^-1 (T T*) - I
+    # product afresh: T (T* S^-1) - I and S^-1 (T T*) - I. S is formed as
+    # the library defines it: for T = A + C*j its split is
+    # (A A^H + C C^H, Z - Z^T) with Z = C A^T, made exactly Hermitian
     fr = random_frame(n, m, np.random.default_rng([n, m]))
     rep = fr.report()
     T = fr.synthesis
-    S = T @ T.H
-    sa, sb = S.split
+    a, c = T.split
+    z = c @ a.T
+    sa, sb = a @ a.conj().T + c @ c.conj().T, z - z.T
     S = QMatrix.from_split(0.5 * (sa + sa.conj().T), 0.5 * (sb - sb.T))
     spectral = herm_eig(S)
     lam = spectral.eigenvalues

@@ -1,5 +1,6 @@
 """Right-module linear algebra: inner products, adjoints, spectra, inverses."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,30 @@ def test_herm_eig_doubling_visible_in_embedding():
     assert np.all(np.abs(w[0::2] - w[1::2]) <= 1e-8 * (1 + np.abs(w[0::2])))
 
 
+def test_the_smallest_subnormal_pairs_to_itself():
+    # in a spectrum below 2^1023 a pair is summed before it is halved, so its
+    # mean is correctly rounded: 0.5 * 5e-324 alone would round to 0
+    M = QMatrix.diag([5e-324] * 4)
+    assert herm_eig(M).eigenvalues.tolist() == [5e-324] * 4
+    assert svd(M).singular_values.tolist() == [5e-324] * 4
+    # 1.5 units of the last place rounds to even, 2 units; halving each
+    # term first would read 1
+    pair = _validate_pairing(np.array([1.0, 1.0, 1e-323, 5e-324]), "eigen")
+    assert pair.tolist() == [1.0, 1e-323]
+
+
+def test_pairing_of_opposite_values_near_the_largest_double():
+    # the pairing test compares halved values, so |even - odd| never overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="at position 0: "
+                           r"-1\.7e\+308 vs 1\.7e\+308"):
+            _validate_pairing(np.array([-1.7e308, 1.7e308]), "eigen")
+        # beside them a subnormal pair is still summed before it is halved
+        pairs = np.array([1.7e308, 1.7e308, 1e-323, 5e-324])
+        assert _validate_pairing(pairs, "eigen").tolist() == [1.7e308, 1e-323]
+
+
 def test_pairing_width_is_relative_to_the_spectrum():
     # an unpaired spectrum is caught at any scale, and the noise values of a
     # rank-deficient matrix, which scale with its largest value, still pair
@@ -549,6 +574,39 @@ def test_apply_at_the_edge_of_the_double_range():
         root = eig.apply(np.sqrt)
     assert inv.components.tolist() == [[[2.0 ** 1022, 0.0, 0.0, 0.0]]]
     assert root.components.tolist() == [[[2.0 ** -511, 0.0, 0.0, 0.0]]]
+
+
+def _long(x: np.ndarray) -> np.ndarray:
+    return x.astype(np.clongdouble)
+
+
+def test_hermitian_products_match_a_long_double_reference():
+    # S = T T* and S^-1, S^-1/2 from HermEig.apply, each against the same
+    # formula summed in long double: S's split is (A A^H + C C^H,
+    # C A^T - A C^T) for T = A + C*j, and a matrix function is the fold of
+    # X = W diag(fn / 2) W* over all four blocks, symmetrized. Both stay
+    # within 3 eps of the largest entry; they read about 1.7 eps and 1.5 eps
+    eps = np.finfo(float).eps
+    fns = (np.reciprocal, lambda v: 1.0 / np.sqrt(v))
+    for n, m in ((1, 1), (3, 8), (5, 7), (12, 36), (64, 192)):
+        T = random_matrix(n, m, np.random.default_rng([n, m, 99]))
+        S = _hermitian_outer(T)
+        a, c = (_long(x) for x in T.split)
+        sa, sb = S.split
+        gap = np.hypot(np.abs(sa - (a @ a.conj().T + c @ c.conj().T)),
+                       np.abs(sb - (c @ a.T - a @ c.T)))
+        assert float(gap.max()) <= 3 * eps * S.entry_moduli().max()
+        eig = herm_eig(S)
+        W = _long(eig.embedded)
+        for fn in fns:
+            values = fn(eig.eigenvalues)
+            X = (W * np.repeat(values[::-1] / 2, 2)) @ W.conj().T
+            p = X[:n, :n] + X[n:, n:].conj()
+            q = X[:n, n:] - X[n:, :n].conj()
+            fa, fb = eig.apply(fn).split
+            gap = np.hypot(np.abs(fa - (p + p.conj().T) / 2),
+                           np.abs(fb - (q - q.T) / 2))
+            assert float(gap.max()) <= 3 * eps * np.abs(values).max()
 
 
 @pytest.mark.parametrize("lam", ([1.7e308, 1e308, -1.7e308],
@@ -1011,15 +1069,19 @@ def test_orthogonal_projector():
 
 def test_orthogonal_projector_keeps_its_bits():
     # the terms are halved before the sum, which is exact in the normal
-    # range: the projector equals 0.5 * (P + P*) bit for bit
+    # range: the complex half equals 0.5 * (P + P^H) for P = A A^H + C C^H
+    # bit for bit, and the j-half of B = A + C*j is Z - Z^T for Z = C A^T,
+    # already skew-symmetric, so symmetrizing keeps it
     rng = np.random.default_rng(97)
-    for n, d in ((2, 1), (4, 2), (6, 6)):
+    for n, d in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 6)):
         ua, ub = random_unitary(n, rng).split
         B = QMatrix.from_split(ua[:, :d], ub[:, :d])
-        pa, pb = (B @ B.H).split
+        pa = (B @ B.H).split[0]
+        a, c = B.split
+        z = c @ a.T
         P = orthogonal_projector(B)
         assert np.array_equal(P.split[0], 0.5 * (pa + pa.conj().T))
-        assert np.array_equal(P.split[1], 0.5 * (pb - pb.T))
+        assert np.array_equal(P.split[1], z - z.T)
 
 
 def test_orthogonal_projector_rejects_skewed_columns():
@@ -1162,6 +1224,58 @@ def test_components_round_trip_bitwise():
     u = QVector(src)
     src[0, 0] = 9.0
     assert u[0] == Quaternion(1, 2, 3, 4)
+
+
+def test_components_are_read_in_place_from_any_strided_array():
+    # a transposed array keeps its last axis contiguous and is read without
+    # a copy; one whose last axis is strided is copied first; every half is
+    # the same, signed zeros included, and owns its memory
+    rng = np.random.default_rng(45)
+    comps = rng.standard_normal((3, 5, 4))
+    comps[0, ::2] = -0.0
+    ref = QMatrix(comps.copy())
+    wide = np.zeros((3, 5, 8))
+    wide[..., ::2] = comps
+    for view in (comps.transpose(1, 0, 2).copy().transpose(1, 0, 2),
+                 wide[..., ::2]):
+        got = QMatrix(view)
+        for mine, want in zip(got.split, ref.split):
+            assert np.array_equal(mine, want)
+            assert np.array_equal(np.signbit(mine.real), np.signbit(want.real))
+            assert mine.flags.c_contiguous and not np.shares_memory(mine, view)
+    row = np.zeros((4, 8))
+    row[:, ::2] = comps[0, :4]
+    assert np.array_equal(QVector(row[:, ::2]).components, comps[0, :4])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QVector([[1, 2, 3]]), r"entry 0: expected a quaternion, a real "
+     r"number, or 4 components, got shape \(3,\)"),
+    (lambda: QVector([]), "a vector needs at least one entry"),
+    (lambda: QVector.from_split(np.zeros(2), np.zeros(3)),
+     "split halves disagree in length"),
+    (lambda: QMatrix([]), "a matrix needs at least one row"),
+    (lambda: QMatrix.from_split(np.zeros((2, 2)), np.zeros((2, 3))),
+     "split halves must be 2-d and of equal shape"),
+    (lambda: QMatrix.from_columns([]),
+     "cannot infer the dimension of an empty column family"),
+    (lambda: QMatrix.from_columns([e(2, 0)], dim=3),
+     r"columns live in H\^2, expected H\^3"),
+    (lambda: unembed_vector(np.zeros(3)), "embedded vectors have even length"),
+    (lambda: random_with_spectrum(2, 4, [1.0, 2.0, 3.0],
+                                  np.random.default_rng(0)),
+     r"expected 2 singular values, got \(3,\)"),
+    (lambda: random_rank_deficient(2, 4, 2, np.random.default_rng(0)),
+     r"rank must lie in \[0, 1\], got 2"),
+])
+def test_malformed_input_names_its_fault(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_an_empty_matrix_has_rank_zero():
+    assert matrix_rank(QMatrix.zeros(0, 3)) == 0
+    assert matrix_rank(QMatrix.zeros(3, 0)) == 0
 
 
 def test_matrix_tolist_round_trip():
