@@ -18,7 +18,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .frames import Frame
+from .frames import (Frame, _bound_readings, _dual_residuals, _identity_drift,
+                     _spread)
 from .frame_ops import (
     are_equivalent,
     bessel_from_operator,
@@ -350,17 +351,8 @@ def _bound_attainment(rng, sizes) -> Iterator[float]:
         1e-8)
 def _bound_formulas(rng, sizes) -> Iterator[float]:
     for n, m in sizes:
-        F = random_frame(n, m, rng)
-        bounds = F.optimal_bounds()
-        T = F.synthesis
-        s_inv = F._inverse_operator
-        lower = (bounds.lower, 1.0 / operator_norm(s_inv),
-                 1.0 / operator_norm(pinv(T)) ** 2)
-        upper = (bounds.upper, operator_norm(F.frame_operator),
-                 operator_norm(T) ** 2)
-        # numpy's max and min carry a NaN reading through; the builtins drop it
-        yield _rel(float(np.ptp(lower)), float(np.min(lower)))
-        yield _rel(float(np.ptp(upper)), float(np.min(upper)))
+        for readings in _bound_readings(random_frame(n, m, rng)):
+            yield _spread(readings)
 
 
 @_check("reconstruction-identity",
@@ -414,16 +406,7 @@ def _coefficient_routes(rng, sizes) -> Iterator[float]:
         1e-9)
 def _dual_reciprocity(rng, sizes) -> Iterator[float]:
     for n, m in sizes:
-        F = random_frame(n, m, rng)
-        bounds = F.optimal_bounds()
-        dual = F.canonical_dual()
-        dbounds = dual.optimal_bounds()
-        yield abs(dbounds.lower - 1.0 / bounds.upper) * bounds.upper
-        yield abs(dbounds.upper - 1.0 / bounds.lower) * bounds.lower
-        back = dual.canonical_dual()
-        scale = F.synthesis.column_norms().max()
-        drift = (F.synthesis - back.synthesis).column_norms().max()
-        yield _rel(drift, scale)
+        yield from _dual_residuals(random_frame(n, m, rng)).values()
 
 
 @_check("parseval-normalization",
@@ -431,10 +414,8 @@ def _dual_reciprocity(rng, sizes) -> Iterator[float]:
         1e-9)
 def _parseval(rng, sizes) -> Iterator[float]:
     for n, m in sizes:
-        F = random_frame(n, m, rng)
-        tight = F.parseval_normalize()
-        drift = (tight.frame_operator - QMatrix.identity(n)).frobenius_norm()
-        yield drift / np.sqrt(n)
+        tight = random_frame(n, m, rng).parseval_normalize()
+        yield _identity_drift(tight.frame_operator)
         U = _block(rng.standard_normal((5, n, 4)))
         back = tight.synthesis @ tight.analysis(U)
         yield _worst((back - U).column_norms(), U.column_norms())
@@ -514,8 +495,7 @@ def _projection(rng, sizes) -> Iterator[float]:
         basis = QMatrix.from_split(ba[:, :d], bb[:, :d])
         tight = F.parseval_normalize()
         sub, sub_bounds = project_frame(basis, tight)
-        drift = (sub.frame_operator - QMatrix.identity(d)).frobenius_norm()
-        yield drift / np.sqrt(d)
+        yield _identity_drift(sub.frame_operator)
         yield abs(sub_bounds.lower - 1.0)
         yield abs(sub_bounds.upper - 1.0)
         plain, plain_bounds = project_frame(basis, F)

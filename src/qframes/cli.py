@@ -22,9 +22,10 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from .checks import DEFAULT_SIZES, run_checks
-from .frames import Frame
+from .frames import (Frame, _bound_readings, _dual_residuals, _identity_drift,
+                     _spread)
 from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
-from .qlinalg import QMatrix, QVector, _real_array, operator_norm, pinv
+from .qlinalg import QMatrix, QVector, _real_array
 from .sampling import random_frame
 
 
@@ -212,6 +213,8 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--count {args.count} contradicts the operator "
                              f"size {frame.count}")
     else:
+        if args.operator:
+            raise ValueError("--operator needs --kind with-operator")
         if args.dim is None or args.count is None:
             raise ValueError("gen needs --dim and --count")
         if not 1 <= args.dim <= args.count:
@@ -237,24 +240,8 @@ def cmd_info(args) -> int:
     lines = [f"frame: dim={frame.dim} count={frame.count}"]
     lines += _bounds_lines(report)
     if frame.is_frame:
-        bounds = frame.optimal_bounds()
-        T = frame.synthesis
-        lower = {
-            "spectral": bounds.lower,
-            "inverse-operator-norm": 1.0 / operator_norm(frame._inverse_operator),
-            "synthesis-pseudoinverse": 1.0 / operator_norm(pinv(T)) ** 2,
-        }
-        upper = {
-            "spectral": bounds.upper,
-            "frame-operator-norm": operator_norm(frame.frame_operator),
-            "synthesis-norm": operator_norm(T) ** 2,
-        }
-        cross = {
-            "lower": (max(lower.values()) - min(lower.values()))
-                     / min(lower.values()),
-            "upper": (max(upper.values()) - min(upper.values()))
-                     / min(upper.values()),
-        }
+        lower, upper = _bound_readings(frame)
+        cross = {"lower": _spread(lower), "upper": _spread(upper)}
         payload.update({"lower_formulas": lower, "upper_formulas": upper,
                         "cross_residuals": cross})
         for side, formulas in (("lower", lower), ("upper", upper)):
@@ -268,26 +255,16 @@ def cmd_info(args) -> int:
 def cmd_dual(args) -> int:
     frame = load_frame(args.frame)
     dual = frame.canonical_dual()
-    bounds = frame.optimal_bounds()
     dbounds = dual.optimal_bounds()
-    reciprocity = max(abs(dbounds.lower - 1.0 / bounds.upper) * bounds.upper,
-                      abs(dbounds.upper - 1.0 / bounds.lower) * bounds.lower)
-    back = dual.canonical_dual()
-    scale = max(frame.synthesis.column_norms().max(initial=0.0), 1e-300)
-    round_trip = float((frame.synthesis - back.synthesis).column_norms()
-                       .max(initial=0.0)) / scale
+    residuals = _dual_residuals(frame)
     payload: dict = {
         "dim": dual.dim, "count": dual.count,
         "bounds": {"lower": dbounds.lower, "upper": dbounds.upper},
-        "residuals": {"bound-reciprocity": reciprocity,
-                      "dual-round-trip": round_trip},
+        "residuals": residuals,
     }
-    lines = [
-        f"canonical dual: dim={dual.dim} count={dual.count}",
-        f"bounds: lower={dbounds.lower:.12g} upper={dbounds.upper:.12g}",
-        f"residual bound-reciprocity: {reciprocity:.3e}",
-        f"residual dual-round-trip: {round_trip:.3e}",
-    ]
+    lines = [f"canonical dual: dim={dual.dim} count={dual.count}",
+             f"bounds: lower={dbounds.lower:.12g} upper={dbounds.upper:.12g}"]
+    lines += [f"residual {key}: {value:.3e}" for key, value in residuals.items()]
     _emit(args, payload, lines, frame=dual.to_dict())
     return 0
 
@@ -295,8 +272,7 @@ def cmd_dual(args) -> int:
 def cmd_parseval(args) -> int:
     frame = load_frame(args.frame)
     tight = frame.parseval_normalize()
-    drift = (tight.frame_operator
-             - QMatrix.identity(frame.dim)).frobenius_norm() / np.sqrt(frame.dim)
+    drift = _identity_drift(tight.frame_operator)
     payload: dict = {"dim": tight.dim, "count": tight.count,
                      "residuals": {"parseval": drift}}
     lines = [f"parseval normalization: dim={tight.dim} count={tight.count}",

@@ -11,7 +11,9 @@ The frame operator is S = T T* = sum u_i u_i*, and the optimal bounds are the
 extreme eigenvalues of S. Dual and normalization routines run through the
 spectral factorization of S, and every expansion reads the canonical dual
 D = S^-1 T: the frame coefficients are D* u. Families whose frame operator is
-singular are reported as rank-deficient rather than rejected.
+singular are reported as rank-deficient rather than rejected. The identities
+that Frame.report, the command line and the check suite report are each
+written once at the end of this module.
 
 T, T* and S are right H-linear, so they act on a block U, a QMatrix whose
 columns are vectors, column by column: analysis, coefficients, reconstruct,
@@ -43,6 +45,8 @@ from .qlinalg import (
     _svd_from_eig,
     _vector_components,
     herm_eig,
+    operator_norm,
+    pinv,
 )
 
 # A family counts as a frame when lambda_min(S) > dim * FRAME_RTOL * lambda_max(S).
@@ -250,7 +254,7 @@ class Frame:
     @property
     def is_frame(self) -> bool:
         lam = self.spectrum
-        return bool(lam[-1] > self.dim * FRAME_RTOL * lam[0]) if len(lam) else False
+        return bool(lam[-1] > self.dim * FRAME_RTOL * lam[0])
 
     def optimal_bounds(self) -> FrameBounds:
         if not self.is_frame:
@@ -307,6 +311,13 @@ class Frame:
         frame coefficients minimize the coefficient norm. Rejects offered
         coefficients that do not actually represent u, naming the first
         column that does not; a block is checked column by column.
+
+        The residual reads the same at every scale: the three norms are
+        scaled by the largest one's power of two, exactly, before they are
+        squared, and lhs and rhs read inf or 0 where their squares leave
+        the double range. Subnormal entries carry only a few digits, so for
+        a u below about 1e-308 even the frame's own coefficients can fail
+        the representation test.
         """
         # The norm of a vector, or of each column of a block.
         _require_columns_within(
@@ -314,11 +325,16 @@ class Frame:
             _norm(*u.split, axis=0), REPRESENTATION_RTOL,
             "offered coefficients in column {} do not represent the vector")
         c = self.coefficients(u)
-        lhs = _norm(*offered.split, axis=0) ** 2
-        rhs = (_norm(*c.split, axis=0) ** 2
-               + _norm(*(c - offered).split, axis=0) ** 2)
-        scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
-        return PythagorasCheck(lhs=lhs, rhs=rhs, residual=np.abs(lhs - rhs) / scale)
+        norms = np.array([_norm(*x.split, axis=0) for x in (offered, c,
+                                                             c - offered)])
+        e = np.frexp(norms.max(axis=0))[1]
+        q, p, d = np.ldexp(norms, -e)
+        lhs, rhs = q ** 2, p ** 2 + d ** 2
+        gap = np.abs(lhs - rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.where(gap == 0, 0.0, gap / np.maximum(lhs, rhs))[()]
+            return PythagorasCheck(lhs=np.ldexp(lhs, 2 * e),
+                                   rhs=np.ldexp(rhs, 2 * e), residual=residual)
 
     # -- derived frames ---------------------------------------------------
 
@@ -369,22 +385,17 @@ class Frame:
           Parseval frame {S^-1/2 u_i}.
         """
         lam = self.spectrum
-        lo = float(lam[-1]) if len(lam) else 0.0
-        hi = float(lam[0]) if len(lam) else 0.0
         residuals: dict[str, float] = {}
         status = "frame" if self.is_frame else "rank-deficient"
         if status == "frame":
-            n = self.dim
-            eye = QMatrix.identity(n)
-            recon = _matmul_adjoint(self.synthesis, self._dual.synthesis) - eye
-            dual = (self._inverse_operator @ self.frame_operator) - eye
-            tight = self.parseval_normalize().frame_operator - eye
-            scale = float(np.sqrt(n))
-            residuals["reconstruction"] = recon.frobenius_norm() / scale
-            residuals["dual-reconstruction"] = dual.frobenius_norm() / scale
-            residuals["parseval"] = tight.frobenius_norm() / scale
-        return FrameReport(status=status, lower=lo, upper=hi,
-                           residuals=residuals,
+            residuals["reconstruction"] = _identity_drift(
+                _matmul_adjoint(self.synthesis, self._dual.synthesis))
+            residuals["dual-reconstruction"] = _identity_drift(
+                self._inverse_operator @ self.frame_operator)
+            residuals["parseval"] = _identity_drift(
+                self.parseval_normalize().frame_operator)
+        return FrameReport(status=status, lower=float(lam[-1]),
+                           upper=float(lam[0]), residuals=residuals,
                            spectrum=tuple(float(x) for x in lam))
 
     def to_dict(self) -> dict:
@@ -425,3 +436,46 @@ class Frame:
                     raise ValueError(f"vector {i}, entry {bad[0]}: components "
                                      f"must be finite, got {arr[bad[0]].tolist()}")
         return cls.from_synthesis(QMatrix(comps.transpose(1, 0, 2)))
+
+
+def _bound_readings(F: Frame) -> tuple[dict[str, float], dict[str, float]]:
+    """Each optimal bound of a frame read three ways, lower then upper:
+    A = lambda_min(S) = 1/||S^-1|| = 1/||T^+||^2 and
+    B = lambda_max(S) = ||S|| = ||T||^2."""
+    bounds = F.optimal_bounds()
+    T = F.synthesis
+    lower = {"spectral": bounds.lower,
+             "inverse-operator-norm": 1.0 / operator_norm(F._inverse_operator),
+             "synthesis-pseudoinverse": 1.0 / operator_norm(pinv(T)) ** 2}
+    upper = {"spectral": bounds.upper,
+             "frame-operator-norm": operator_norm(F.frame_operator),
+             "synthesis-norm": operator_norm(T) ** 2}
+    return lower, upper
+
+
+def _spread(readings: dict[str, float]) -> float:
+    """(max - min) / min of the readings: NaN if one is NaN, which the
+    builtin max and min would drop, and inf if the least is 0."""
+    values = np.array(list(readings.values()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float((values.max() - values.min()) / values.min())
+
+
+def _dual_residuals(F: Frame) -> dict[str, float]:
+    """The canonical dual's bounds against (1/B, 1/A), the larger relative
+    gap or NaN, and the dual of the dual against T, column by column."""
+    bounds = F.optimal_bounds()
+    dual = F.canonical_dual()
+    dbounds = dual.optimal_bounds()
+    reciprocity = np.max([abs(dbounds.lower - 1.0 / bounds.upper) * bounds.upper,
+                          abs(dbounds.upper - 1.0 / bounds.lower) * bounds.lower])
+    T = F.synthesis
+    drift = (T - dual.canonical_dual().synthesis).column_norms().max()
+    return {"bound-reciprocity": float(reciprocity), "dual-round-trip":
+            float(drift) / max(T.column_norms().max(), 1e-300)}
+
+
+def _identity_drift(X: QMatrix) -> float:
+    """||X - I||_F / sqrt(n) for an n x n matrix X."""
+    a, b = X.split
+    return _norm(a - np.eye(len(a)), b) / float(np.sqrt(len(a)))

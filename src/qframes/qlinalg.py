@@ -903,14 +903,21 @@ def is_bounded_below(M: QMatrix) -> bool:
 
 def _require_columns_within(gap, size, tol: float, what: str) -> None:
     """Raise a ValueError, what.format(k) and the relative residual, for the
-    first column k whose gap exceeds tol * max(size, 1e-300); gap and size
-    hold one number, or one per column of a block."""
-    size = np.maximum(size, 1e-300)
-    bad = np.flatnonzero(gap > tol * size)
+    first column k whose gap / size exceeds tol; gap and size hold one
+    number, or one per column of a block.
+
+    The ratio has no floor under size, so it reads the same at every scale:
+    0 where the gap is 0, inf where only the size is. Subnormal entries carry
+    only a few digits, so below about 1e-308 a gap of rounding alone can
+    exceed tol.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.ravel(np.where(np.equal(gap, 0), 0.0, np.divide(gap, size)))
+    bad = np.flatnonzero(ratio > tol)
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"{what.format(k)}: relative residual "
-                         f"{np.ravel(gap / size)[k]:.3e}")
+                         f"{ratio[k]:.3e}")
 
 
 def _require_orthonormal(B: QMatrix, what: str) -> None:

@@ -51,8 +51,10 @@ def test_a_check_returns_its_largest_residual_or_a_nan(monkeypatch, residuals,
 
 def test_a_nan_identity_fails_its_check(monkeypatch):
     # the builtin max would drop a NaN that is not its first argument, and
-    # these five would read a finite residual and pass
+    # these five would read a finite residual and pass; the bound readings
+    # are taken in qframes.frames
     monkeypatch.setattr("qframes.checks.operator_norm", lambda M: math.nan)
+    monkeypatch.setattr("qframes.frames.operator_norm", lambda M: math.nan)
     report = run_checks(seed=0)
     failing = [entry for entry in report["checks"] if not entry["passed"]]
     assert [entry["name"] for entry in failing] == [

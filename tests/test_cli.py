@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qframes.checks
+import qframes.cli
 import qframes.frames
 from qframes.cli import _dumps, main
 from qframes.frames import Frame
@@ -106,6 +107,17 @@ def test_gen_with_operator_needs_operator_file(tmp_path):
     assert "needs --operator" in res.stderr
 
 
+@pytest.mark.parametrize("kind", ["generic", "parseval"])
+def test_gen_refuses_an_operator_it_would_ignore(tmp_path, capsys, kind):
+    write_json(tmp_path / "op.json", diag_operator([4.0, 1.0]))
+    out = tmp_path / "f.json"
+    assert main(["gen", "-n", "2", "-m", "3", "--kind", kind, "--operator",
+                 str(tmp_path / "op.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --operator needs --kind "
+                                       "with-operator\n")
+    assert not out.exists()
+
+
 def test_gen_with_operator_rejects_indefinite(tmp_path):
     write_json(tmp_path / "op.json", diag_operator([1.0, -1.0]))
     res = run_cli(["gen", "--kind", "with-operator", "--operator", "op.json"],
@@ -141,6 +153,44 @@ def test_info_table_output(tmp_path):
     assert "status: frame" in res.stdout
     assert "bounds: lower=" in res.stdout
     assert "lower [spectral]:" in res.stdout
+
+
+def test_info_and_dual_report_the_shared_identities(tmp_path, capsys):
+    # the command line prints the residuals the check suite reduces
+    path = str(tmp_path / "f.json")
+    assert main(["gen", "-n", "4", "-m", "12", "--seed", "7", "--out", path]) == 0
+    capsys.readouterr()
+    frame = qframes.cli.load_frame(path)
+    assert main(["info", path, "--json"]) == 0
+    lower, upper = qframes.frames._bound_readings(frame)
+    assert json.loads(capsys.readouterr().out)["cross_residuals"] == {
+        "lower": qframes.frames._spread(lower),
+        "upper": qframes.frames._spread(upper)}
+    assert main(["dual", path, "--json"]) == 0
+    assert (json.loads(capsys.readouterr().out)["residuals"]
+            == qframes.frames._dual_residuals(frame))
+
+
+def test_a_nan_reading_reaches_the_text_report(tmp_path, monkeypatch, capsys):
+    # the builtin max and min would drop the NaN and print a zero spread
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    monkeypatch.setattr("qframes.frames.operator_norm", lambda M: math.nan)
+    assert main(["info", str(tmp_path / "f.json")]) == 0
+    out = capsys.readouterr().out
+    assert "lower cross-residual: nan\n" in out
+    assert "upper cross-residual: nan\n" in out
+    # a NaN lower bound of the frame alone spoils the second reciprocity term
+    bounds = Frame.optimal_bounds
+
+    def nan_lower(self):
+        found = bounds(self)
+        if self._primal is not None:  # the canonical dual keeps its bounds
+            return found
+        return dataclasses.replace(found, lower=math.nan)
+
+    monkeypatch.setattr(Frame, "optimal_bounds", nan_lower)
+    assert main(["dual", str(tmp_path / "f.json")]) == 0
+    assert "residual bound-reciprocity: nan\n" in capsys.readouterr().out
 
 
 def test_info_rank_deficient_family(tmp_path):
@@ -672,7 +722,7 @@ def test_numerical_failure_is_labelled(tmp_path, monkeypatch, capsys):
 def test_non_finite_output_is_an_error(tmp_path, monkeypatch, capsys):
     # a NaN that reaches the output ends in exit 2, never in bare NaN
     write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
-    monkeypatch.setattr("qframes.cli.operator_norm", lambda M: math.nan)
+    monkeypatch.setattr("qframes.frames.operator_norm", lambda M: math.nan)
     assert main(["info", str(tmp_path / "f.json"), "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

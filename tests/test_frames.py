@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -486,6 +487,50 @@ def test_pythagoras_rejects_non_representation():
                       QMatrix.from_columns([bogus * c]))):
             with pytest.raises(ValueError, match="do not represent"):
                 fr.pythagoras_check(x, y)
+
+
+def test_pythagoras_refuses_zeros_for_a_subnormal_vector():
+    # u of norm 2.2e-319 is not sum u_i 0; subnormals carry about four
+    # digits, so the frame's own coefficients are refused there too
+    fr = random_frame(3, 7, np.random.default_rng(38))
+    u = random_vector(3, np.random.default_rng(39)) * 2.0 ** -1060
+    assert 0 < u.norm() < 1e-318
+    with pytest.raises(ValueError, match="residual 1.000e"):
+        fr.pythagoras_check(u, QVector.zeros(7))
+    with pytest.raises(ValueError, match="do not represent"):
+        fr.pythagoras_check(u, fr.coefficients(u))
+
+
+@pytest.mark.parametrize("k", [540, 1000])
+def test_pythagoras_check_where_the_squares_overflow(k):
+    fr = random_frame(3, 7, np.random.default_rng(38))
+    U = QMatrix(np.random.default_rng(39).standard_normal((3, 2, 4))) * 2.0 ** k
+    ker = kernel_basis(fr.synthesis)
+    offered = fr.coefficients(U) + ker @ (
+        QMatrix(np.random.default_rng(40).standard_normal((4, 2, 4))) * 2.0 ** k)
+    chk = fr.pythagoras_check(U, offered)
+    assert np.all(chk.residual <= 1e-10)
+    assert np.all(np.isinf(chk.lhs)) and np.all(np.isinf(chk.rhs))
+    one = fr.pythagoras_check(U.column(0), offered.column(0))
+    assert one.residual <= 1e-10 and one.lhs == math.inf
+
+
+def test_pythagoras_residual_keeps_its_bits_at_desk_scale():
+    # scaling by a power of two before squaring is exact in the normal range
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        fr = random_frame(3, 7, rng)
+        ker = kernel_basis(fr.synthesis)
+        U = QMatrix(rng.standard_normal((3, 10, 4)))
+        offered = fr.coefficients(U) + ker @ QMatrix(
+            rng.standard_normal((ker.shape[1], 10, 4)))
+        chk = fr.pythagoras_check(U, offered)
+        c = fr.coefficients(U)
+        lhs = offered.column_norms() ** 2
+        rhs = c.column_norms() ** 2 + (c - offered).column_norms() ** 2
+        assert np.array_equal(chk.lhs, lhs) and np.array_equal(chk.rhs, rhs)
+        assert np.array_equal(chk.residual,
+                              np.abs(lhs - rhs) / np.maximum(lhs, rhs))
 
 
 def test_pythagoras_rejects_wrong_length():

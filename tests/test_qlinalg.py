@@ -866,6 +866,16 @@ def test_solve_min_norm_at_a_scale_whose_squares_overflow():
         solve_min_norm(M, QVector([0.0, 1e160]))
 
 
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+def test_the_range_gate_reads_the_same_at_every_scale(k):
+    # a right-hand side wholly off the range is off by all of itself, also
+    # where its size is below any fixed floor
+    with pytest.raises(ValueError) as raised:
+        solve_min_norm(QMatrix.diag([1.0, 0.0]), QVector([0.0, 2.0 ** k]))
+    assert str(raised.value) == ("right-hand side column 0 is not in the "
+                                 "range: relative residual 1.000e+00")
+
+
 def test_solve_min_norm_checks_the_row_count():
     with pytest.raises(ValueError, match="shape mismatch"):
         solve_min_norm(QMatrix.identity(2), QMatrix.zeros(3, 2))
