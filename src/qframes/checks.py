@@ -31,6 +31,7 @@ from .frame_ops import (
 from .qlinalg import (
     QMatrix,
     QVector,
+    _ratio,
     _singular_values,
     complex_adjoint,
     embed_vector,
@@ -89,13 +90,9 @@ def _check(name: str, description: str, tolerance: float):
     return register
 
 
-def _rel(x: float, scale: float) -> float:
-    return x / max(scale, 1e-300)
-
-
 def _worst(x: np.ndarray, scale) -> float:
-    """The largest of the column-wise relative residuals x / scale."""
-    return float((x / np.maximum(scale, 1e-300)).max())
+    """The largest of the column-wise relative residuals _ratio(x, scale)."""
+    return float(_ratio(x, scale).max())
 
 
 def _block(draw: np.ndarray) -> QMatrix:
@@ -132,8 +129,8 @@ def _unit_table(rng, sizes) -> Iterator[float]:
 def _modulus_mult(rng, sizes) -> Iterator[float]:
     for row in rng.standard_normal((300, 8)).tolist():
         p, q = Quaternion(*row[:4]), Quaternion(*row[4:])
-        yield _rel(abs((p * q).modulus() - p.modulus() * q.modulus()),
-                   p.modulus() * q.modulus())
+        yield _ratio(abs((p * q).modulus() - p.modulus() * q.modulus()),
+                     p.modulus() * q.modulus())
 
 
 @_check("conjugation-antihomomorphism",
@@ -143,10 +140,10 @@ def _conj_anti(rng, sizes) -> Iterator[float]:
     for row in rng.standard_normal((300, 8)).tolist():
         p, q = Quaternion(*row[:4]), Quaternion(*row[4:])
         q_mod, q_conj = q.modulus(), q.conjugate()
-        yield _rel(((p * q).conjugate() - q_conj * p.conjugate()).modulus(),
-                   p.modulus() * q_mod)
+        yield _ratio(((p * q).conjugate() - q_conj * p.conjugate()).modulus(),
+                     p.modulus() * q_mod)
         q_sq = q_mod ** 2
-        yield _rel((q_conj * q - q_sq).modulus(), q_sq)
+        yield _ratio((q_conj * q - q_sq).modulus(), q_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +160,10 @@ def _inner_structure(rng, sizes) -> Iterator[float]:
             q = Quaternion(*draw[2 * n])
             norms = u.norm() * v.norm()
             uv, vu = inner(u, v), inner(v, u)
-            yield _rel((inner(v, u * q) - vu * q).modulus(), norms * q.modulus())
-            yield _rel((uv - vu.conjugate()).modulus(), norms)
+            yield _ratio((inner(v, u * q) - vu * q).modulus(), norms * q.modulus())
+            yield _ratio((uv - vu.conjugate()).modulus(), norms)
             gap = uv.modulus() - norms
-            yield _rel(max(gap, 0.0), norms)
+            yield _ratio(max(gap, 0.0), norms)
 
 
 @_check("operator-right-linearity",
@@ -180,7 +177,7 @@ def _right_linearity(rng, sizes) -> Iterator[float]:
             q = Quaternion(*draw[-1])
             lhs = M @ (u * q + v)
             rhs = (M @ u) * q + M @ v
-            yield _rel((lhs - rhs).norm(), rhs.norm())
+            yield _ratio((lhs - rhs).norm(), rhs.norm())
 
 
 @_check("adjoint-defining-identity",
@@ -194,7 +191,7 @@ def _adjoint_identity(rng, sizes) -> Iterator[float]:
             lhs = inner(M.H @ u, v)
             rhs = inner(u, M @ v)
             scale = operator_norm(M) * u.norm() * v.norm()
-            yield _rel((lhs - rhs).modulus(), scale)
+            yield _ratio((lhs - rhs).modulus(), scale)
 
 
 @_check("embedding-star-homomorphism",
@@ -209,12 +206,12 @@ def _embedding_hom(rng, sizes) -> Iterator[float]:
                               - complex_adjoint(M) @ complex_adjoint(N))
         scale = (np.linalg.norm(complex_adjoint(M))
                  * np.linalg.norm(complex_adjoint(N)))
-        yield _rel(prod, scale)
+        yield _ratio(prod, scale)
         star = np.linalg.norm(complex_adjoint(M.H) - complex_adjoint(M).conj().T)
-        yield _rel(star, np.linalg.norm(complex_adjoint(M)))
+        yield _ratio(star, np.linalg.norm(complex_adjoint(M)))
         vec = np.linalg.norm(complex_adjoint(M) @ embed_vector(u)
                              - embed_vector(M @ u))
-        yield _rel(vec, operator_norm(M) * u.norm())
+        yield _ratio(vec, operator_norm(M) * u.norm())
 
 
 @_check("doubled-spectrum-recovery",
@@ -238,14 +235,14 @@ def _doubled_spectrum(rng, sizes) -> Iterator[float]:
             eig = herm_eig(M)
             U = eig.eigenvectors
             refactor = (U @ QMatrix.diag(eig.eigenvalues) @ U.H - M).frobenius_norm()
-            yield _rel(refactor, M.frobenius_norm())
+            yield _ratio(refactor, M.frobenius_norm())
             unit = (U.H @ U - QMatrix.identity(n)).entry_moduli().max()
             yield float(unit)
             yield float(np.any(np.diff(eig.eigenvalues) > 0))
             if lam is not None:
                 gap = np.max(np.abs(np.sort(eig.eigenvalues)
                                     - np.sort(np.asarray(lam, dtype=float))))
-                yield _rel(gap, 1.0 + np.abs(lam).max())
+                yield _ratio(gap, 1.0 + np.abs(lam).max())
 
 
 @_check("svd-factorization",
@@ -262,7 +259,7 @@ def _svd_factorization(rng, sizes) -> Iterator[float]:
             sig[:k, :k] = np.diag(fac.singular_values)
             core = QMatrix.from_real(sig)
             refactor = (fac.u @ core @ fac.v.H - M).frobenius_norm()
-            yield _rel(refactor, M.frobenius_norm())
+            yield _ratio(refactor, M.frobenius_norm())
             for f, d in ((fac.u, r), (fac.v, c)):
                 unit = (f.H @ f - QMatrix.identity(d)).entry_moduli().max()
                 yield float(unit)
@@ -285,8 +282,8 @@ def _penrose(rng, sizes) -> Iterator[float]:
             P = pinv(M)
             scale_m = M.frobenius_norm()
             scale_p = P.frobenius_norm()
-            yield _rel((M @ P @ M - M).frobenius_norm(), scale_m)
-            yield _rel((P @ M @ P - P).frobenius_norm(), scale_p)
+            yield _ratio((M @ P @ M - M).frobenius_norm(), scale_m)
+            yield _ratio((P @ M @ P - P).frobenius_norm(), scale_p)
             for proj in (M @ P, P @ M):
                 drift = (proj - proj.H).entry_moduli()
                 yield float(drift.max()) if drift.size else 0.0
@@ -300,10 +297,10 @@ def _min_norm(rng, sizes) -> Iterator[float]:
         M = random_matrix(n, m, rng)  # wide, surjective with probability one
         v = M @ random_vector(m, rng)
         x = solve_min_norm(M, v)
-        yield _rel((M @ x - v).norm(), v.norm())
+        yield _ratio((M @ x - v).norm(), v.norm())
         null = kernel_basis(M)
         if null.shape[1]:
-            yield _rel((null.H @ x).norm(), x.norm())
+            yield _ratio((null.H @ x).norm(), x.norm())
             shifted = (QMatrix.from_columns([x] * 5)
                        + null @ _block(rng.standard_normal((5, null.shape[1], 4))))
             yield _worst(np.maximum(x.norm() - shifted.column_norms(), 0.0), x.norm())
@@ -341,9 +338,9 @@ def _bound_attainment(rng, sizes) -> Iterator[float]:
         bounds = F.optimal_bounds()
         vecs = F._spectral.eigenvectors
         top, bottom = vecs.column(0), vecs.column(n - 1)
-        yield _rel(abs(F.analysis(top).norm() ** 2 - bounds.upper), bounds.upper)
-        yield _rel(abs(F.analysis(bottom).norm() ** 2 - bounds.lower),
-                   bounds.lower)
+        yield _ratio(abs(F.analysis(top).norm() ** 2 - bounds.upper), bounds.upper)
+        yield _ratio(abs(F.analysis(bottom).norm() ** 2 - bounds.lower),
+                     bounds.lower)
 
 
 @_check("bound-formula-agreement",
@@ -435,7 +432,7 @@ def _transport(rng, sizes) -> Iterator[float]:
         rhs = F.coefficients(R @ U)
         yield _worst((lhs - rhs).column_norms(), rhs.column_norms())
         cap = bounds.upper * operator_norm(R) / bounds.lower
-        yield _rel(max(operator_norm(carrier) - cap * (1 + 1e-9), 0.0), cap)
+        yield _ratio(max(operator_norm(carrier) - cap * (1 + 1e-9), 0.0), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +456,8 @@ def _operator_images(rng, sizes) -> Iterator[float]:
         ibounds = image.optimal_bounds()
         floor = bounds.lower * sigma[-1] ** 2
         cap = bounds.upper * sigma[0] ** 2
-        yield _rel(max(floor - ibounds.lower * (1 + 1e-9), 0.0), floor)
-        yield _rel(max(ibounds.upper - cap * (1 + 1e-9), 0.0), cap)
+        yield _ratio(max(floor - ibounds.lower * (1 + 1e-9), 0.0), floor)
+        yield _ratio(max(ibounds.upper - cap * (1 + 1e-9), 0.0), cap)
         if n >= 2:
             wide = random_with_spectrum(
                 n - 1, n, np.sort(rng.uniform(0.5, 2.0, size=n - 1))[::-1], rng)
@@ -500,10 +497,10 @@ def _projection(rng, sizes) -> Iterator[float]:
         yield abs(sub_bounds.upper - 1.0)
         plain, plain_bounds = project_frame(basis, F)
         env = F.optimal_bounds()
-        yield _rel(max(env.lower - plain_bounds.lower * (1 + 1e-9), 0.0),
-                   env.lower)
-        yield _rel(max(plain_bounds.upper - env.upper * (1 + 1e-9), 0.0),
-                   env.upper)
+        yield _ratio(max(env.lower - plain_bounds.lower * (1 + 1e-9), 0.0),
+                     env.lower)
+        yield _ratio(max(plain_bounds.upper - env.upper * (1 + 1e-9), 0.0),
+                     env.upper)
 
 
 @_check("equivalence-classification",
@@ -548,7 +545,7 @@ def _equivalence(rng, sizes) -> Iterator[float]:
             norm_h = operator_norm(H.synthesis)
             norm_f = operator_norm(F.synthesis)
             for w in (down.witness, up.witness):
-                yield _rel((H.synthesis @ w).norm(), norm_h)
+                yield _ratio((H.synthesis @ w).norm(), norm_h)
                 if (F.synthesis @ w).norm() <= 1e-6 * norm_f:
                     yield 1.0
                     return
@@ -562,7 +559,7 @@ def _prescribed_operator(rng, sizes) -> Iterator[float]:
         L = random_positive_definite(n, rng)
         F = frame_with_frame_operator(L)
         drift = (F.frame_operator - L).frobenius_norm()
-        yield _rel(drift, L.frobenius_norm())
+        yield _ratio(drift, L.frobenius_norm())
 
 
 @_check("analysis-operator-bijection",

@@ -25,7 +25,7 @@ from .checks import DEFAULT_SIZES, run_checks
 from .frames import (Frame, _bound_readings, _dual_residuals, _identity_drift,
                      _spread)
 from .frame_ops import are_equivalent, frame_with_frame_operator, map_frame
-from .qlinalg import QMatrix, QVector, _real_array
+from .qlinalg import QMatrix, QVector, _ratio, _real_array
 from .sampling import random_frame
 
 
@@ -288,7 +288,7 @@ def cmd_coeffs(args) -> int:
         raise ValueError(f"vector length {len(u)} does not match frame "
                          f"dimension {frame.dim}")
     c = frame.coefficients(u)
-    residual = (frame.reconstruct(c) - u).norm() / max(u.norm(), 1e-300)
+    residual = _ratio((frame.reconstruct(c) - u).norm(), u.norm())
     payload: dict = {"count": frame.count,
                      "reconstruction_residual": residual}
     lines = [f"coefficients: {frame.count}",

@@ -34,6 +34,7 @@ from .qlinalg import (
     QMatrix,
     QVector,
     _norm,
+    _ratio,
     _require_orthonormal,
     sqrt_psd,
     unembed_vector,
@@ -109,9 +110,9 @@ def map_frame(L: QMatrix, frame: Frame) -> tuple[Frame, FrameReport]:
     if image.is_frame and frame.is_frame:
         conjugated = L @ frame.frame_operator @ L.H
         drift = (image.frame_operator - conjugated).frobenius_norm()
-        scale = max(conjugated.frobenius_norm(), 1e-300)
         residuals = dict(report.residuals)
-        residuals["operator-conjugation"] = drift / scale
+        residuals["operator-conjugation"] = _ratio(
+            drift, conjugated.frobenius_norm())
         report = replace(report, residuals=residuals)
     return image, report
 
@@ -155,13 +156,14 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     Row i of R, the top rows of chi(T2) projected onto the embedded kernel of
     T1, has norm max |(T2 x)_i| over unit x in ker(T1); the bottom rows are
     their j-partners and add nothing. T2 annihilates ker(T1) when the largest
-    row norm r is at most KERNEL_RTOL * ||T2||. Since ||T2||_F / sqrt(k) <=
-    ||T2|| <= ||T2||_F for k = min(dim, count), r above the upper bound
-    escapes and r below the lower one annihilates without factoring T2; only
-    between the two is ||T2|| read from its SVD. The witness is the largest
-    row, taken back to H^m: T2 sends it to an entry of modulus r. The norms
-    rescale when their squares leave the double range, so the test answers
-    alike for T1 and T2 scaled by any power of two.
+    row norm r has _ratio(r, ||T2||) at most KERNEL_RTOL. Since
+    ||T2||_F / sqrt(k) <= ||T2|| <= ||T2||_F for k = min(dim, count),
+    r / ||T2||_F above KERNEL_RTOL escapes and below KERNEL_RTOL / sqrt(k)
+    annihilates without factoring T2; only between the two is ||T2|| read
+    from its SVD. The witness is the largest row, taken back to H^m: T2
+    sends it to an entry of modulus r. The norms rescale when their squares
+    leave the double range, and the ratios have no floor, so the test
+    answers alike for T1 and T2 scaled by any power of two.
     """
     Wr = first._factors.Wr
     T2 = second.synthesis
@@ -170,13 +172,11 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     norms = _norm(R, axis=1)
     i = int(np.argmax(norms))
     r = norms[i]
-    # The floor on ||T2|| keeps both bounds.
-    fro = max(T2.frobenius_norm(), 1e-300)
-    if r <= KERNEL_RTOL * fro / math.sqrt(max(min(T2.shape), 1)):
+    ratio = _ratio(r, T2.frobenius_norm())
+    if ratio <= KERNEL_RTOL / math.sqrt(max(min(T2.shape), 1)):
         return None
-    if r <= KERNEL_RTOL * fro:
-        if r <= KERNEL_RTOL * max(second._factors.s[0], 1e-300):
-            return None
+    if ratio <= KERNEL_RTOL and _ratio(r, second._factors.s[0]) <= KERNEL_RTOL:
+        return None
     # One more projection keeps the witness in ker(T1) to rounding when the
     # row is small against its unprojected length.
     z = R[i].conj()
@@ -202,8 +202,8 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     norms = _norm(np.hstack([ga, ta]), np.hstack([gb, tb]), axis=0)
     gap = norms[:first.count].max(initial=0.0)
     size = norms[first.count:].max(initial=0.0)
-    residual = float(gap / size) if size else 0.0
-    return IntertwinerResult(operator=L, residual=residual, witness=None)
+    return IntertwinerResult(operator=L, residual=_ratio(gap, size),
+                             witness=None)
 
 
 def are_equivalent(first: Frame, second: Frame) -> EquivalenceResult:

@@ -40,6 +40,7 @@ from .qlinalg import (
     _hermitian_outer,
     _matmul_adjoint,
     _norm,
+    _ratio,
     _real_array,
     _require_columns_within,
     _svd_from_eig,
@@ -330,9 +331,8 @@ class Frame:
         e = np.frexp(norms.max(axis=0))[1]
         q, p, d = np.ldexp(norms, -e)
         lhs, rhs = q ** 2, p ** 2 + d ** 2
-        gap = np.abs(lhs - rhs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.where(gap == 0, 0.0, gap / np.maximum(lhs, rhs))[()]
+        residual = _ratio(np.abs(lhs - rhs), np.maximum(lhs, rhs))
+        with np.errstate(over="ignore"):
             return PythagorasCheck(lhs=np.ldexp(lhs, 2 * e),
                                    rhs=np.ldexp(rhs, 2 * e), residual=residual)
 
@@ -454,11 +454,10 @@ def _bound_readings(F: Frame) -> tuple[dict[str, float], dict[str, float]]:
 
 
 def _spread(readings: dict[str, float]) -> float:
-    """(max - min) / min of the readings: NaN if one is NaN, which the
-    builtin max and min would drop, and inf if the least is 0."""
+    """(max - min) / min of the readings as a _ratio: NaN if one is NaN,
+    which the builtin max and min would drop."""
     values = np.array(list(readings.values()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float((values.max() - values.min()) / values.min())
+    return _ratio(values.max() - values.min(), values.min())
 
 
 def _dual_residuals(F: Frame) -> dict[str, float]:
@@ -472,7 +471,7 @@ def _dual_residuals(F: Frame) -> dict[str, float]:
     T = F.synthesis
     drift = (T - dual.canonical_dual().synthesis).column_norms().max()
     return {"bound-reciprocity": float(reciprocity), "dual-round-trip":
-            float(drift) / max(T.column_norms().max(), 1e-300)}
+            _ratio(drift, T.column_norms().max())}
 
 
 def _identity_drift(X: QMatrix) -> float:

@@ -901,19 +901,30 @@ def is_bounded_below(M: QMatrix) -> bool:
     return matrix_rank(M) == M.shape[1]
 
 
+def _ratio(gap, size):
+    """gap / size for numbers, or elementwise for arrays, read the same at
+    every scale: 0 where the gap is 0, inf where only the size is, NaN where
+    either is NaN, and no RuntimeWarning. There is no floor under size."""
+    if isinstance(gap, np.ndarray) or isinstance(size, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(np.equal(gap, 0) & np.equal(size, size), 0.0,
+                            np.divide(gap, size))
+    if gap and size:  # NaN is truthy; Python floats divide without warnings
+        return float(gap) / float(size)
+    if gap != gap or size != size:
+        return math.nan
+    return math.inf if gap else 0.0
+
+
 def _require_columns_within(gap, size, tol: float, what: str) -> None:
     """Raise a ValueError, what.format(k) and the relative residual, for the
-    first column k whose gap / size exceeds tol; gap and size hold one
-    number, or one per column of a block.
-
-    The ratio has no floor under size, so it reads the same at every scale:
-    0 where the gap is 0, inf where only the size is. Subnormal entries carry
-    only a few digits, so below about 1e-308 a gap of rounding alone can
-    exceed tol.
+    first column k whose _ratio(gap, size) is not within tol, NaN included;
+    gap and size hold one number, or one per column of a block. Subnormal
+    entries carry only a few digits, so below about 1e-308 a gap of rounding
+    alone can exceed tol.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.ravel(np.where(np.equal(gap, 0), 0.0, np.divide(gap, size)))
-    bad = np.flatnonzero(ratio > tol)
+    ratio = np.ravel(_ratio(gap, size))
+    bad = np.flatnonzero(~(ratio <= tol))
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"{what.format(k)}: relative residual "

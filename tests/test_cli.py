@@ -320,6 +320,22 @@ def test_coeffs_then_reconstruct_round_trip(tmp_path):
     assert gap <= RECON_TOL * np.linalg.norm(np.asarray(u))
 
 
+def test_coeffs_residual_is_scale_free(tmp_path):
+    # |u 2^-1000| is about 3.9e-301, below where a floor under the size
+    # would have cut the ratio: the residual must read as u's does, to the
+    # eight or so digits its subnormal gap carries
+    run_cli(["gen", "-n", "4", "-m", "12", "--seed", "7", "--out", "f.json"],
+            tmp_path)
+    u = np.array([[1, 2, 0, -1], [0, 1, 1, 0], [0.5, 0, 0, 0], [0, 0, 0, 3]])
+    residuals = []
+    for c in (1.0, 2.0 ** -1000):
+        write_json(tmp_path / "u.json", {"entries": (u * c).tolist()})
+        res = run_cli(["coeffs", "f.json", "u.json", "--json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        residuals.append(json.loads(res.stdout)["reconstruction_residual"])
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-8, abs=0)
+
+
 def test_coeffs_rejects_wrong_vector_length(tmp_path):
     run_cli(["gen", "-n", "3", "-m", "6", "--seed", "17", "--out", "f.json"],
             tmp_path)

@@ -76,6 +76,19 @@ def test_map_frame_conjugation_identity_random():
                               (L @ fr.synthesis).components)
 
 
+def test_map_frame_conjugation_residual_is_scale_free():
+    # L 2^-505 makes ||L S L*||_F about 1.7e-302, below where a floor under
+    # the size would have cut the ratio; the residual must read as L's
+    # does. The gap itself, about 6e-318, is subnormal and carries about
+    # six digits, so the two agree to about 4e-7 and no closer.
+    fr = random_frame(3, 8, np.random.default_rng(3))
+    L = random_invertible(3, np.random.default_rng(4))
+    _, plain = map_frame(L, fr)
+    _, tiny = map_frame(L * 2.0 ** -505, fr)
+    assert tiny.residuals["operator-conjugation"] == pytest.approx(
+        plain.residuals["operator-conjugation"], rel=1e-5, abs=0)
+
+
 def test_map_frame_rank_deficient_image():
     rng = np.random.default_rng(52)
     fr = random_frame(3, 6, rng)
@@ -470,10 +483,12 @@ def test_equivalence_relation_is_scale_invariant():
 def test_equivalence_at_scales_whose_squares_leave_the_double_range():
     # Near 2^664 the rounding-level rows of the kernel test square past the
     # largest double; near 2^-560 the rows of an independent frame square
-    # below the smallest. Neither may change the relation.
+    # below the smallest. Neither may change the relation. At 2^-1020,
+    # ||T||_F is about 5e-307, and the kernel test reads its ratios there
+    # as at 2^0.
     rng = np.random.default_rng(63)
     T, U = random_frame(2, 3, rng).synthesis, random_frame(2, 3, rng).synthesis
-    for k in (-990, -560, 0, 664, 996):
+    for k in (-1020, -990, -560, 0, 664, 996):
         c = 2.0 ** k
         F, G = Frame.from_synthesis(T * c), Frame.from_synthesis(U * c)
         with warnings.catch_warnings():

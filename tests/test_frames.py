@@ -501,6 +501,16 @@ def test_pythagoras_refuses_zeros_for_a_subnormal_vector():
         fr.pythagoras_check(u, fr.coefficients(u))
 
 
+def test_pythagoras_refuses_nan_coefficients():
+    fr = random_frame(2, 5, np.random.default_rng(1))
+    U = QMatrix(np.random.default_rng(2).standard_normal((2, 3, 4)))
+    offered = np.array(fr.coefficients(U).components)
+    offered[:, 1:] = np.nan
+    with pytest.raises(ValueError, match="column 1 do not represent the "
+                       "vector: relative residual nan"):
+        fr.pythagoras_check(U, QMatrix(offered))
+
+
 @pytest.mark.parametrize("k", [540, 1000])
 def test_pythagoras_check_where_the_squares_overflow(k):
     fr = random_frame(3, 7, np.random.default_rng(38))

@@ -1,5 +1,6 @@
 """The package namespace: every public name is bound by `import qframes`,
-and the package reaches LAPACK only through its named doors."""
+the package reaches LAPACK only through its named doors, and no relative
+residual sits on a floor."""
 
 import ast
 import pathlib
@@ -63,3 +64,25 @@ def test_lapack_is_entered_only_through_the_four_doors():
     outside = [c for c in calls if c[1] not in LAPACK_DOORS]
     assert outside == []
     assert {where for _, where, _ in calls} == LAPACK_DOORS
+
+
+def _tiny_literals(tree):
+    """Line numbers of float literals x with 0 < x < 1e-200, other than the
+    value assigned to INVERSE_CUTOFF."""
+    allowed = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["INVERSE_CUTOFF"]}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value < 1e-200 and id(node) not in allowed]
+
+
+def test_relative_residuals_have_no_floor():
+    # A ratio read as gap / max(size, floor) stops scaling with its input
+    # below the floor; every relative residual goes through qlinalg._ratio.
+    package = pathlib.Path(qframes.__file__).parent
+    found = [(path.name, line) for path in sorted(package.glob("*.py"))
+             for line in _tiny_literals(ast.parse(path.read_text(
+                 encoding="utf-8")))]
+    assert found == []

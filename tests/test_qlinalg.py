@@ -876,6 +876,13 @@ def test_the_range_gate_reads_the_same_at_every_scale(k):
                                  "range: relative residual 1.000e+00")
 
 
+def test_the_range_gate_refuses_a_nan_column():
+    with pytest.raises(ValueError) as raised:
+        solve_min_norm(QMatrix.identity(2), QVector(np.full((2, 4), np.nan)))
+    assert str(raised.value) == ("right-hand side column 0 is not in the "
+                                 "range: relative residual nan")
+
+
 def test_solve_min_norm_checks_the_row_count():
     with pytest.raises(ValueError, match="shape mismatch"):
         solve_min_norm(QMatrix.identity(2), QMatrix.zeros(3, 2))
