@@ -12,10 +12,11 @@ already holds the eigensystem of S, read off that with no LAPACK call.
 Its right factor Wr spans the row space of chi(T1), so I - Wr Wr*
 projects onto the embedded kernel of T1, and T2 annihilates
 ker(T1) exactly when the rows of chi(T2) projected that way vanish against
-||T2||. The same factors give pinv(T1). ||T2|| is bounded first by the
-Frobenius norm, ||T2||_F / sqrt(k) <= ||T2|| <= ||T2||_F with k = min(dim,
-count), and T2 is factored only when the largest row lands in the band
-between the two, so a frame whose kernel is not tested is never factored.
+||T2||. The same factors give T2 pinv(T1), with no pseudoinverse formed.
+||T2|| is bounded first by the Frobenius norm, ||T2||_F / sqrt(k) <= ||T2||
+<= ||T2||_F with k = min(dim, count), and T2 is factored only when the
+largest row lands in the band between the two, so a frame whose kernel is
+not tested is never factored.
 A canonical dual S^-1 T is pinv(T)*, with T's singular vectors, and reads
 its factors off its frame's. A frame is factored at most once, whichever
 pair and direction it takes part in. The intertwiner residual is relative
@@ -33,9 +34,12 @@ from .frames import Frame, FrameBounds, FrameReport
 from .qlinalg import (
     QMatrix,
     QVector,
+    _fold,
     _norm,
+    _over,
     _ratio,
     _require_orthonormal,
+    complex_adjoint,
     sqrt_psd,
     unembed_vector,
 )
@@ -183,7 +187,7 @@ def _kernel_escape(first: Frame, second: Frame) -> QVector | None:
     z -= Wr @ (Wr.conj().T @ z)
     # Summed by real plane, as np.linalg.norm(z) sums it, so the witness a
     # caller prints keeps its bits.
-    return unembed_vector(z / _norm(z.real, z.imag))
+    return unembed_vector(_over(z, _norm(z.real, z.imag)))
 
 
 def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
@@ -195,7 +199,10 @@ def intertwiner(first: Frame, second: Frame) -> IntertwinerResult:
     if witness is not None:
         return IntertwinerResult(operator=None, residual=None, witness=witness)
     T1, T2 = first.synthesis, second.synthesis
-    L = T2 @ first._factors.pinv()
+    # T2 pinv(T1) = fold(chi(T2) Wr diag(1/s) Wl*), with no pseudoinverse
+    # and no 1/s formed, so frames scaled together give the same L.
+    Wl, s, Wr = first._factors
+    L = _fold(_over(complex_adjoint(T2) @ Wr, s) @ Wl.conj().T)
     # The gaps and the target sizes, column by column, in one norm call.
     ga, gb = (L @ T1 - T2).split
     ta, tb = T2.split

@@ -280,8 +280,13 @@ class QVector(_Split):
         return _Split.__mul__(self, scalar)
 
     def __truediv__(self, scalar) -> "QVector":
+        """Each component divided by the real scalar (_over); dividing by a
+        zero of any real type raises ZeroDivisionError."""
         if isinstance(scalar, Real):
-            return self * (1.0 / scalar)
+            d = float(scalar)
+            if d == 0.0:
+                raise ZeroDivisionError("vector division by zero")
+            return _own(QVector, _over(self._a, d), _over(self._b, d))
         return NotImplemented
 
     def norm(self) -> float:
@@ -553,10 +558,13 @@ def _validate_pairing(doubled: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _fold(X: np.ndarray) -> QMatrix:
-    """The quaternionic matrix whose embedding is nearest to X, shape 2m x 2n."""
+    """The quaternionic matrix whose embedding is nearest to X, shape 2m x 2n.
+    Each block is halved before its sum, so an entry that fits in a double
+    stays finite; in the normal range halving is exact."""
     m, n = X.shape[0] // 2, X.shape[1] // 2
-    return _own(QMatrix, 0.5 * (X[:m, :n] + X[m:, n:].conj()),
-                0.5 * (X[:m, n:] - X[m:, :n].conj()))
+    X = 0.5 * X
+    return _own(QMatrix, X[:m, :n] + X[m:, n:].conj(),
+                X[:m, n:] - X[m:, :n].conj())
 
 
 def _partner(z: np.ndarray) -> np.ndarray:
@@ -776,15 +784,13 @@ class _EmbeddedSvd(NamedTuple):
     The factors come from one LAPACK SVD of chi(M) (_embedded_svd), or, for M of
     full row rank whose M M* is already factored, from that eigensystem
     (_svd_from_eig), whose Wr is orthonormal only to about eps * cond(M M*).
+    The pseudoinverse of chi(M) is Wr diag(1/s) Wl*; a product X pinv(M)
+    is fold(_over(chi(X) Wr, s) Wl*), which forms no 1/s.
     """
 
     Wl: np.ndarray
     s: np.ndarray
     Wr: np.ndarray
-
-    def pinv(self) -> QMatrix:
-        """Moore-Penrose pseudoinverse of M, folded back from that of chi(M)."""
-        return _fold((self.Wr / self.s) @ self.Wl.conj().T)
 
     def pinv_adjoint(self) -> "_EmbeddedSvd":
         """The same factorization of pinv(M)* = Wl diag(1/s) Wr*: the singular
@@ -811,7 +817,7 @@ def _svd_from_eig(M: QMatrix, eig: HermEig) -> _EmbeddedSvd:
     """
     Wl = eig.embedded[:, ::-1]
     s = np.repeat(np.sqrt(eig.eigenvalues), 2)
-    return _EmbeddedSvd(Wl, s, (complex_adjoint(M).conj().T @ Wl) / s)
+    return _EmbeddedSvd(Wl, s, _over(complex_adjoint(M).conj().T @ Wl, s))
 
 
 def svd(M: QMatrix) -> QSvd:
@@ -858,8 +864,18 @@ def matrix_rank(M: QMatrix) -> int:
 
 
 def pinv(M: QMatrix) -> QMatrix:
-    """Moore-Penrose pseudoinverse, folded back from that of chi(M)."""
-    return _embedded_svd(M).pinv()
+    """Moore-Penrose pseudoinverse, folded back from that of chi(M),
+    Wr diag(1/s) Wl*. A pseudoinverse with an entry beyond the double range
+    raises a ValueError naming the entry."""
+    Wl, s, Wr = _embedded_svd(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _fold(_over(Wr, s) @ Wl.conj().T)
+    bad = np.flatnonzero(~(np.isfinite(P.split[0]) & np.isfinite(P.split[1])))
+    if bad.size:
+        i, k = np.unravel_index(int(bad[0]), P.shape)
+        raise ValueError(f"pseudoinverse exceeds the double range: entry "
+                         f"({i}, {k}) overflows")
+    return P
 
 
 def kernel_basis(M: QMatrix) -> QMatrix:
@@ -888,7 +904,7 @@ def solve_min_norm(M: QMatrix, v: QVector | QMatrix) -> QVector | QMatrix:
     _require_columns_within(_norm(z - Wl @ coeffs, axis=0), _norm(z, axis=0),
                             RANGE_RTOL, "right-hand side column {} is not in "
                             "the range")
-    x = Wr @ (coeffs.T / s).T
+    x = Wr @ _over(coeffs.T, s).T
     n = M.shape[1]
     return type(v).from_split(x[:n], -x[n:].conj())
 
@@ -914,6 +930,20 @@ def _ratio(gap, size):
     if gap != gap or size != size:
         return math.nan
     return math.inf if gap else 0.0
+
+
+def _over(x: np.ndarray, d) -> np.ndarray:
+    """x / d for complex x and real d, broadcast as numpy does (one d per
+    column of a block): the real and the imaginary plane each take one IEEE
+    division. numpy's complex / real, like x * (1 / d), forms 1 / d, which
+    overflows for |d| below about 5.6e-309 however small x is, and then
+    turns the 0 * inf of a zero plane into NaN. Here each plane is the
+    correctly rounded quotient, NaN only where x or d is NaN or where both
+    are zero or both infinite."""
+    out = np.empty(np.broadcast(x, d).shape, complex)
+    np.divide(x.real, d, out=out.real)
+    np.divide(x.imag, d, out=out.imag)
+    return out
 
 
 def _require_columns_within(gap, size, tol: float, what: str) -> None:

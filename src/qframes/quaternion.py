@@ -9,6 +9,7 @@ three imaginary parts, and |q|^2 = conj(q)*q is real.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 # |q| below this counts as zero when inverting.  Guards the division without
 # letting subnormal noise masquerade as an invertible scalar.
@@ -124,9 +125,13 @@ class Quaternion:
 
     def __truediv__(self, other: float) -> "Quaternion":
         # Division only by reals; for quaternionic divisors the two quotients
-        # q * p^-1 and p^-1 * q differ, so spell out the one you mean.
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
+        # q * p^-1 and p^-1 * q differ, so spell out the one you mean. Each
+        # component is divided on its own: 1/other would overflow for a tiny
+        # divisor whatever the quotient. A zero raises ZeroDivisionError.
+        if isinstance(other, Real):
+            d = float(other)
+            return Quaternion(self.a0 / d, self.a1 / d, self.a2 / d,
+                              self.a3 / d)
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":

@@ -15,6 +15,7 @@ import qframes.cli
 import qframes.frames
 from qframes.cli import _dumps, main
 from qframes.frames import Frame
+from qframes.sampling import random_frame, random_invertible
 
 RECON_TOL = 1e-9
 
@@ -414,6 +415,50 @@ def test_equiv_reports_witness(tmp_path):
     table = run_cli(["equiv", "a.json", "b.json"], tmp_path)
     assert "relation: none" in table.stdout
     assert "witness kernel vector present" in table.stdout
+
+
+def _frames_below_the_normal_range(tmp_path):
+    """f.json, its image g.json under an invertible L, and an unrelated
+    h.json, each scaled by 2^-1030 (subnormal entries); returns L."""
+    c = 2.0 ** -1030
+    T = random_frame(3, 8, np.random.default_rng(3)).synthesis
+    L = random_invertible(3, np.random.default_rng(4))
+    U = random_frame(3, 8, np.random.default_rng(5)).synthesis
+    for name, X in (("f", T), ("g", L @ T), ("h", U)):
+        write_json(tmp_path / f"{name}.json",
+                   Frame.from_synthesis(X * c).to_dict())
+    return L
+
+
+def test_equiv_of_frames_below_the_normal_range(tmp_path):
+    L = _frames_below_the_normal_range(tmp_path)
+    table = run_cli(["equiv", "f.json", "g.json"], tmp_path)
+    assert (table.returncode, table.stderr) == (0, "")
+    assert "relation: equivalent" in table.stdout
+    line, = (x for x in table.stdout.splitlines()
+             if x.startswith("intertwiner residual: "))
+    assert float(line.split(": ")[1]) <= 1e-12
+    res = run_cli(["equiv", "f.json", "g.json", "--json"], tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    payload = json.loads(res.stdout, parse_constant=pytest.fail)
+    assert payload["relation"] == "equivalent"
+    assert payload["residual"] <= 1e-12
+    gap = np.array(payload["intertwiner"]) - L.components
+    assert np.linalg.norm(gap) <= 1e-12 * L.frobenius_norm()
+
+
+def test_equiv_of_unrelated_frames_below_the_normal_range(tmp_path):
+    _frames_below_the_normal_range(tmp_path)
+    table = run_cli(["equiv", "f.json", "h.json"], tmp_path)
+    assert (table.returncode, table.stderr) == (0, "")
+    assert "relation: none" in table.stdout
+    assert "witness kernel vector present" in table.stdout
+    res = run_cli(["equiv", "f.json", "h.json", "--json"], tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    payload = json.loads(res.stdout, parse_constant=pytest.fail)
+    assert payload["relation"] == "none"
+    assert np.linalg.norm(payload["witness"]) == pytest.approx(1.0, rel=1e-12,
+                                                               abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qframes.qlinalg import (
     QMatrix,
     QVector,
     _norm,
+    _over,
     complex_adjoint,
     inner,
     kernel_basis,
@@ -306,13 +307,12 @@ def _direct_kernel_escape(first, second):
     R = top - (top @ Wr) @ Wr.conj().T
     norms = _norm(R, axis=1)
     i = int(np.argmax(norms))
-    sigma = np.linalg.svd(chi2, compute_uv=False)[0]
-    threshold = KERNEL_RTOL * max(sigma, 1e-300)
+    threshold = KERNEL_RTOL * np.linalg.svd(chi2, compute_uv=False)[0]
     if norms[i] <= threshold:
         return None, norms[i] / threshold
     z = R[i].conj()
     z -= Wr @ (Wr.conj().T @ z)
-    return unembed_vector(z / _norm(z.real, z.imag)), norms[i] / threshold
+    return unembed_vector(_over(z, _norm(z.real, z.imag))), norms[i] / threshold
 
 
 def test_frobenius_bounds_give_the_direct_verdict():
@@ -485,10 +485,10 @@ def test_equivalence_at_scales_whose_squares_leave_the_double_range():
     # largest double; near 2^-560 the rows of an independent frame square
     # below the smallest. Neither may change the relation. At 2^-1020,
     # ||T||_F is about 5e-307, and the kernel test reads its ratios there
-    # as at 2^0.
+    # as at 2^0; at 2^-1040 the entries are subnormal.
     rng = np.random.default_rng(63)
     T, U = random_frame(2, 3, rng).synthesis, random_frame(2, 3, rng).synthesis
-    for k in (-1020, -990, -560, 0, 664, 996):
+    for k in (-1040, -1030, -1020, -990, -560, 0, 664, 996):
         c = 2.0 ** k
         F, G = Frame.from_synthesis(T * c), Frame.from_synthesis(U * c)
         with warnings.catch_warnings():
@@ -499,6 +499,29 @@ def test_equivalence_at_scales_whose_squares_leave_the_double_range():
             w = res.witness
             assert (F.synthesis @ w).norm() \
                 <= KERNEL_RTOL * operator_norm(F.synthesis) * w.norm(), k
+
+
+def test_equivalence_of_frames_scaled_below_the_normal_range():
+    # At 2^-1030 the entries are subnormal and no singular value has a
+    # finite reciprocal; the intertwiner is still L, and the witness a unit
+    c = 2.0 ** -1030
+    T = random_frame(3, 8, np.random.default_rng(3)).synthesis
+    L = random_invertible(3, np.random.default_rng(4))
+    U = random_frame(3, 8, np.random.default_rng(5)).synthesis
+    F = Frame.from_synthesis(T * c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        image = are_equivalent(F, Frame.from_synthesis((L @ T) * c))
+        other = are_equivalent(F, Frame.from_synthesis(U * c))
+        itself = intertwiner(F, F)
+    assert image.relation == "equivalent"
+    assert (image.intertwiner - L).frobenius_norm() \
+        <= 1e-12 * L.frobenius_norm()
+    assert image.residual <= 1e-12
+    assert other.relation == "none"
+    assert other.witness.norm() == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert (itself.operator - QMatrix.identity(3)).frobenius_norm() <= 1e-12
+    assert itself.residual <= 1e-12
 
 
 @pytest.mark.parametrize("k", [-400, 0, 400])

@@ -1,10 +1,13 @@
 """Right-module linear algebra: inner products, adjoints, spectra, inverses."""
 
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qframes.qlinalg
 from qframes.quaternion import I, J, K, ONE, Quaternion
@@ -17,6 +20,7 @@ from qframes.qlinalg import (
     _embedded_svd,
     _fold,
     _hermitian_outer,
+    _over,
     _polar,
     _split_matmul_adjoint,
     _validate_pairing,
@@ -883,6 +887,38 @@ def test_the_range_gate_refuses_a_nan_column():
                                  "range: relative residual nan")
 
 
+# 2^-1030 is subnormal, and 1 / 2^-1030 overflows
+TINY_SCALE = 2.0 ** -1030
+
+
+def test_solve_min_norm_below_the_normal_range():
+    # M and v scaled together keep the solution; the division by the
+    # singular values must not pass through their reciprocals
+    rng = np.random.default_rng(86)
+    M = random_matrix(3, 5, rng)
+    x = solve_min_norm(M, M @ random_vector(5, rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        y = solve_min_norm(M * TINY_SCALE, (M @ x) * TINY_SCALE)
+    assert (y - x).norm() <= 1e-12 * x.norm()
+
+
+def test_pinv_beyond_the_double_range_is_refused():
+    # pinv(M c) = pinv(M) / c: at c = 2^-1000 it fits, at 2^-1030 it cannot;
+    # 2^1023, whose double overflows, still fits
+    M = random_matrix(3, 5, np.random.default_rng(87))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        P = pinv(M * 2.0 ** -1000)
+        edge = pinv(QMatrix.diag([2.0 ** -1023] * 2))
+        assert np.array_equal(edge.components,
+                              QMatrix.diag([2.0 ** 1023] * 2).components)
+        with pytest.raises(ValueError, match=r"^pseudoinverse exceeds the "
+                           r"double range: entry \(\d+, \d+\) overflows$"):
+            pinv(M * TINY_SCALE)
+    assert frob(P * 2.0 ** -1000 - pinv(M)) <= 1e-12 * frob(pinv(M))
+
+
 def test_solve_min_norm_checks_the_row_count():
     with pytest.raises(ValueError, match="shape mismatch"):
         solve_min_norm(QMatrix.identity(2), QMatrix.zeros(3, 2))
@@ -1174,6 +1210,59 @@ def test_scalar_actions_of_vectors_and_matrices():
     for bad in (lambda: A * q, lambda: A / 2, lambda: u / q):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_vector_division_by_a_tiny_real_is_exact():
+    u = QVector([[1, 2, 0.5, -3], [0, -0.25, 4, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(((u * TINY_SCALE) / TINY_SCALE).components,
+                              u.components)
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, np.float64(0), np.float32(0)],
+                         ids=["int", "float", "minus", "float64", "float32"])
+def test_vector_division_by_zero_raises(zero):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ZeroDivisionError):
+            QVector([[1, 2, 0.5, -3]]) / zero
+
+
+# Every binade of nonzero doubles with either sign, half of the draws from
+# those below 2^-1022, whose reciprocals overflow or nearly do.
+_divisors = st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                      st.floats(1.0, 2.0, exclude_max=True),
+                      st.one_of(st.integers(-1074, -1023),
+                                st.integers(-1074, 1023)),
+                      st.sampled_from([1.0, -1.0]))
+# Signed zeros drawn often: numpy's complex / real turns them into NaN.
+_planes = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(_planes, _planes, _divisors), min_size=1,
+                max_size=6))
+@example([(0.0, 1.5, 2.0 ** -1030), (-0.0, math.inf, -5e-324)])
+def test_over_is_one_ieee_division_per_plane(entries):
+    re, im, d = (np.array(column) for column in zip(*entries))
+    x = np.empty(len(entries), complex)
+    x.real, x.imag = re, im
+    first = entries[0][2]
+    with np.errstate(over="ignore"):
+        each, one = _over(x, d), _over(x, first)
+    for k, (r, i, dk) in enumerate(entries):
+        for got, want in ((each[k].real, r / dk), (each[k].imag, i / dk),
+                          (one[k].real, r / first), (one[k].imag, i / first)):
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:  # the same bits, the sign of a zero included
+                assert (got, math.copysign(1.0, got)) \
+                    == (want, math.copysign(1.0, want))
+    for out in (each, one):
+        assert np.array_equal(np.isnan(out.real), np.isnan(re))
+        assert np.array_equal(np.isnan(out.imag), np.isnan(im))
 
 
 @pytest.mark.parametrize("build", [

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,22 @@ def test_inverse_round_trip():
         q = Quaternion(*rng.standard_normal(4))
         assert (q * q.inverse() - ONE).modulus() <= 1e-12
         assert (q.inverse() * q - ONE).modulus() <= 1e-12
+
+
+def test_division_by_a_tiny_real_divides_each_component():
+    c = 2.0 ** -1030  # subnormal; 1 / c overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Quaternion(c, 2 * c, 0, 0) / c == Quaternion(1, 2, 0, 0)
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, np.float64(0), np.float32(0)],
+                         ids=["int", "float", "minus", "float64", "float32"])
+def test_division_by_zero_raises(zero):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ZeroDivisionError):
+            ONE / zero
 
 
 def test_inverse_of_zero_raises():
