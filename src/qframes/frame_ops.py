@@ -131,9 +131,9 @@ def unitary_invariance_check(U: QMatrix, frame: Frame
         _require_orthonormal(X, "operator is not unitary")
     before = frame.optimal_bounds()
     after = Frame.from_synthesis(U @ frame.synthesis).optimal_bounds()
-    drift = max(abs(after.lower - before.lower) / before.lower,
-                abs(after.upper - before.upper) / before.upper)
-    return before, after, drift
+    drift = np.max([_ratio(abs(after.lower - before.lower), before.lower),
+                    _ratio(abs(after.upper - before.upper), before.upper)])
+    return before, after, float(drift)
 
 
 def project_frame(basis: QMatrix, frame: Frame) -> tuple[Frame, FrameBounds]:

@@ -963,11 +963,12 @@ def _require_columns_within(gap, size, tol: float, what: str) -> None:
 
 def _require_orthonormal(B: QMatrix, what: str) -> None:
     """Raise a ValueError starting with `what` unless B*B = I entrywise
-    within ORTHONORMAL_TOL, naming the Gram entry furthest off."""
+    within ORTHONORMAL_TOL, naming the Gram entry furthest off, or the first
+    NaN one."""
     a, b = B.split
     ga, gb = _split_outer(a.conj().T, -b.T)
     drift = _entry_moduli(ga - np.eye(B.shape[1]), gb)
-    if np.any(drift > ORTHONORMAL_TOL):
+    if not np.all(drift <= ORTHONORMAL_TOL):
         i, k = np.unravel_index(int(np.argmax(drift)), drift.shape)
         raise ValueError(f"{what}: Gram entry ({i}, {k}) is off by "
                          f"{drift[i, k]:.3e}")

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from numbers import Real
 
-# |q| below this counts as zero when inverting.  Guards the division without
-# letting subnormal noise masquerade as an invertible scalar.
-INVERSE_CUTOFF = 1e-300
-
 
 class Quaternion:
     """Immutable quaternion a0 + a1*i + a2*j + a3*k with float components.
@@ -145,13 +141,16 @@ class Quaternion:
     __abs__ = modulus
 
     def inverse(self) -> "Quaternion":
-        """q^-1 = conj(q) / |q|^2.  Raises ZeroDivisionError for zero input."""
+        """q^-1 = conj(q) / |q|^2.  Raises ZeroDivisionError for zero input
+        and ValueError where a component of the inverse is not finite."""
         mod = self.modulus()
-        if mod < INVERSE_CUTOFF:
+        if mod == 0:
             raise ZeroDivisionError("quaternion has no inverse: modulus is zero")
         # divide twice: mod*mod can underflow even when the inverse is finite
-        half = self.conjugate() / mod
-        return half / mod
+        inv = self.conjugate() / mod / mod
+        if not all(map(math.isfinite, inv.components)):
+            raise ValueError("quaternion inverse exceeds the double range")
+        return inv
 
     def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).modulus() <= tol

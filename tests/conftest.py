@@ -1,13 +1,17 @@
 """Helpers shared by the test modules."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import qframes
+import qframes.cli
 import qframes.qlinalg
 
 # The directory holding the qframes package under test, made absolute so a
@@ -16,7 +20,37 @@ SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(qframes.__file__)))
 
 
 def run_cli(args, cwd):
-    """Run `python -m qframes.cli ARGS` in cwd against the package under test."""
+    """Run `qframes ARGS` in cwd in this process, as `python -m qframes.cli
+    ARGS` would run it: stdout and stderr as text, and a SystemExit, such
+    as argparse's on a usage error, as the interpreter's return code. A
+    warning the test's filters turn into an error (RuntimeWarning, by
+    pyproject) propagates; any other is written to stderr as the
+    interpreter would print it."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno,
+                                         line))
+
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.showwarning = show
+            try:
+                code = qframes.cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(["qframes", *args], code,
+                                       out.getvalue(), err.getvalue())
+
+
+def run_child(args, cwd):
+    """Run `python -m qframes.cli ARGS` in cwd as a child process against the
+    package under test. Only tests of the process boundary itself use it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SOURCE_DIR, env.get("PYTHONPATH")) if p)

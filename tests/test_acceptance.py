@@ -10,7 +10,7 @@ see the verdict lines on success:
 import json
 
 import numpy as np
-from conftest import run_cli
+from conftest import run_child
 
 from qframes.frame_ops import are_equivalent, map_frame, project_frame, \
     unitary_invariance_check
@@ -346,7 +346,7 @@ def test_criterion_10_coefficient_transport():
 
 def test_criterion_11_cli_determinism(tmp_path):
     def run(args):
-        return run_cli(args, tmp_path)
+        return run_child(args, tmp_path)
 
     gen_cmd = ["gen", "-n", "3", "-m", "7", "--seed", "41", "--out", "a.json"]
     gen1 = run(gen_cmd)

@@ -1,12 +1,15 @@
-"""End-to-end command line runs through a subprocess."""
+"""End-to-end command line runs through cli.main in this process, with one
+parity test against `python -m qframes.cli` run as a child process."""
 
 import dataclasses
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import run_child, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -857,3 +860,95 @@ def trees_with_non_finite(draw):
 def test_dumps_rejects_non_finite_values(tree):
     with pytest.raises(ValueError, match="JSON compliant"):
         _dumps(tree)
+
+
+# ---------------------------------------------------------------------------
+# the in-process runner against `python -m qframes.cli`
+
+PARITY_CASES = [
+    ["gen", "-n", "2", "-m", "5", "--seed", "7", "--out", "f.json"],
+    ["gen", "-n", "2", "-m", "3", "--seed", "3", "--kind", "parseval",
+     "--json"],
+    ["info", "f.json"],
+    ["info", "f.json", "--json"],
+    ["dual", "f.json", "--out", "d.json"],
+    ["parseval", "f.json", "--json", "--out", "p.json"],
+    ["coeffs", "f.json", "u.json", "--out", "c.json"],
+    ["reconstruct", "f.json", "c.json", "--json"],
+    ["map", "f.json", "op.json", "--out", "m.json"],
+    ["equiv", "f.json", "d.json"],
+    ["check", "--seed", "1", "--sizes", "2x3"],
+    ["check", "--seed", "0", "--sizes", "2x3", "--tol", "1e-300", "--json"],
+    ["info", "bad.json"],
+    ["gen", "-n", "2", "-m", "4", "--seed", "-1"],
+]
+
+
+def _parity_run(runner, cwd):
+    """Each case's return code, stdout and stderr, and the bytes of every
+    file in cwd afterwards, starting from the same input files."""
+    cwd.mkdir()
+    write_json(cwd / "u.json", {"entries": [[1.0, 2.0, 0.0, 0.0],
+                                            [0.0, 0.0, -1.0, 0.5]]})
+    write_json(cwd / "op.json", diag_operator([2.0, 0.5]))
+    (cwd / "bad.json").write_text("{not json\n", encoding="utf-8")
+    runs = [runner(args, cwd) for args in PARITY_CASES]
+    results = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    return results, files
+
+
+def test_in_process_runs_match_child_processes(tmp_path, monkeypatch):
+    # argparse wraps usage at the terminal width; a child's captured stdout
+    # has no terminal, so both runs wrap at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    child = _parity_run(run_child, tmp_path / "child")
+    assert {code for code, _, _ in child[0]} == {0, 1, 2}
+    assert {"d.json", "p.json", "c.json", "m.json"} <= set(child[1])
+    assert _parity_run(run_cli, tmp_path / "first") == child
+    # a second pass in the same process sees no state left by the first
+    assert _parity_run(run_cli, tmp_path / "second") == child
+
+
+def _info_replaced_by(monkeypatch, command):
+    monkeypatch.setattr(qframes.cli, "cmd_info", command)
+    return ["info", "f.json"]
+
+
+def test_runner_writes_a_warning_to_stderr(tmp_path, monkeypatch):
+    def warning(args):
+        warnings.warn("a user warning", UserWarning)
+        print("done")
+        return 0
+
+    res = run_cli(_info_replaced_by(monkeypatch, warning), tmp_path)
+    assert (res.returncode, res.stdout) == (0, "done\n")
+    assert "UserWarning: a user warning\n" in res.stderr
+
+
+def test_runner_keeps_runtime_warnings_errors(tmp_path, monkeypatch):
+    def overflow(args):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return 0
+
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        run_cli(_info_replaced_by(monkeypatch, overflow), tmp_path)
+
+
+def test_runner_reads_system_exit_as_a_return_code(tmp_path, monkeypatch):
+    def leave(args):
+        raise SystemExit(0)
+
+    res = run_cli(_info_replaced_by(monkeypatch, leave), tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+
+
+def test_runner_restores_the_working_directory(tmp_path, monkeypatch):
+    def fail(args):
+        assert os.path.samefile(os.getcwd(), tmp_path)
+        raise KeyError("escaped")
+
+    home = os.getcwd()
+    with pytest.raises(KeyError, match="escaped"):
+        run_cli(_info_replaced_by(monkeypatch, fail), tmp_path)
+    assert os.getcwd() == home

@@ -144,6 +144,14 @@ def test_unitary_invariance_rejects_non_unitary():
         unitary_invariance_check(QMatrix.identity(3), fr)
 
 
+def test_unitary_invariance_rejects_a_nan_entry():
+    arr = np.zeros((2, 2, 4))
+    arr[0, 0, 0], arr[1, 1, 0] = 1.0, np.nan
+    with pytest.raises(ValueError, match=r"not unitary: Gram entry \(0, 1\) "
+                                         r"is off by nan"):
+        unitary_invariance_check(QMatrix(arr), orthonormal_pair())
+
+
 # ---------------------------------------------------------------------------
 # projection onto subspaces
 
@@ -188,6 +196,13 @@ def test_project_frame_validation():
         project_frame(skew, fr)
     with pytest.raises(ValueError, match="at least one basis column"):
         project_frame(QMatrix.zeros(2, 0), fr)
+
+
+def test_project_frame_rejects_a_nan_basis():
+    basis = QMatrix(np.full((2, 1, 4), np.nan))
+    with pytest.raises(ValueError, match=r"not orthonormal: Gram entry "
+                                         r"\(0, 0\) is off by nan"):
+        project_frame(basis, orthonormal_pair())
 
 
 # ---------------------------------------------------------------------------

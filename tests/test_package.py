@@ -67,15 +67,10 @@ def test_lapack_is_entered_only_through_the_four_doors():
 
 
 def _tiny_literals(tree):
-    """Line numbers of float literals x with 0 < x < 1e-200, other than the
-    value assigned to INVERSE_CUTOFF."""
-    allowed = {id(node.value) for node in ast.walk(tree)
-               if isinstance(node, ast.Assign)
-               and [getattr(t, "id", None) for t in node.targets]
-               == ["INVERSE_CUTOFF"]}
+    """Line numbers of float literals x with 0 < x < 1e-200."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and type(node.value) is float
-            and 0 < node.value < 1e-200 and id(node) not in allowed]
+            and 0 < node.value < 1e-200]
 
 
 def test_relative_residuals_have_no_floor():

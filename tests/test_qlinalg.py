@@ -1143,6 +1143,14 @@ def test_orthogonal_projector_rejects_skewed_columns():
         orthogonal_projector(B)
 
 
+def test_orthogonal_projector_rejects_a_nan_column():
+    # a NaN drift compares False against the tolerance, so it must be refused
+    # by name rather than let through to an all-NaN projector
+    with pytest.raises(ValueError, match=r"not orthonormal: Gram entry "
+                                         r"\(0, 0\) is off by nan"):
+        orthogonal_projector(QMatrix(np.full((2, 1, 4), np.nan)))
+
+
 # ---------------------------------------------------------------------------
 # container mechanics
 

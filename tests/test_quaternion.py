@@ -115,10 +115,10 @@ def test_division_by_zero_raises(zero):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
-    with pytest.raises(ZeroDivisionError):
-        Quaternion(1e-301, 0, 0, 0).inverse()
-    # just above the cutoff still inverts
-    Quaternion(1e-290, 0, 0, 0).inverse()
+    # no floor: a modulus whose inverse fits in a double inverts exactly
+    assert Quaternion(2.0 ** -1020).inverse() == Quaternion(2.0 ** 1020)
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        Quaternion(2.0 ** -1030).inverse()
 
 
 def test_complex_pair_round_trip():
