@@ -237,10 +237,7 @@ def frame_with_frame_operator(L: QMatrix) -> Frame:
     The columns of the principal square root do the job: with u_i = L^(1/2) e_i
     the synthesis matrix is L^(1/2) itself and T T* = L.
     """
-    n = L.shape[0]
-    if L.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {L.shape}")
-    root = sqrt_psd(L)  # rejects non-Hermitian and indefinite input
+    root = sqrt_psd(L)  # rejects non-square, non-Hermitian and indefinite input
     candidate = Frame.from_synthesis(root)
     if not candidate.is_frame:
         raise ValueError("matrix is not positive definite: the square-root "

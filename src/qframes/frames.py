@@ -190,7 +190,8 @@ class Frame:
     def frame_operator(self) -> QMatrix:
         """S = T T*, Hermitian positive semidefinite, exactly symmetrized.
 
-        Raises a ValueError when S leaves the double range. Its diagonal
+        Raises a ValueError when S leaves the double range, or, naming the
+        first one, when an entry of T is NaN or infinite. Its diagonal
         holds the squared row norms of T, and by Cauchy-Schwarz it bounds
         every other entry, so a finite diagonal means a finite S, and a
         diagonal below the normal range means that S, and with it every
@@ -203,6 +204,14 @@ class Frame:
         diagonal = S.split[0].diagonal()
         bad = np.flatnonzero(~np.isfinite(diagonal))
         if bad.size:
+            a, b = T.split
+            # (vector i, entry k) is entry (k, i) of T
+            entries = np.argwhere(~(np.isfinite(a) & np.isfinite(b)).T)
+            if len(entries):
+                i, k = entries[0]
+                kind = ("a NaN" if np.isnan([a[k, i], b[k, i]]).any()
+                        else "an infinite")
+                raise ValueError(f"vector {i}, entry {k} has {kind} component")
             raise ValueError(f"frame bounds exceed the double range: entry "
                              f"({bad[0]}, {bad[0]}) of S = T T* overflows")
         if (diagonal.real.max(initial=0.0) < _TINY

@@ -111,12 +111,11 @@ def _vector_components(entries, where: str = "entry") -> np.ndarray:
 
 
 def _split_from_components(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each pair of real components is read as one complex number in place, so
+    # Each pair of float components is read as one complex number in place, so
     # every bit (the sign of a zero included) survives; the halves are copied,
     # so they never alias the caller's array, and made read-only. The view
     # needs only the last axis contiguous, as it is in a transposed array, so
     # the components are copied only when numpy refuses it.
-    comps = np.asarray(comps, dtype=float)
     try:
         z = comps.view(complex)
     except ValueError:

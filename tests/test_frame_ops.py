@@ -136,6 +136,14 @@ def test_unitary_invariance_random():
         assert drift <= IMAGE_TOL
 
 
+def test_unitary_invariance_reports_the_larger_drift():
+    rng = np.random.default_rng(3)
+    fr, U = random_frame(3, 8, rng), random_unitary(3, rng)
+    before, after, drift = unitary_invariance_check(U, fr)
+    assert drift == max(abs(after.lower - before.lower) / before.lower,
+                        abs(after.upper - before.upper) / before.upper)
+
+
 def test_unitary_invariance_rejects_non_unitary():
     fr = orthonormal_pair()
     with pytest.raises(ValueError, match="not unitary"):
@@ -372,6 +380,25 @@ def test_frobenius_bounds_give_the_direct_verdict():
                     assert np.array_equal(res.witness.components,
                                           witness.components)
     assert regions == {0, 1, 2}
+
+
+def test_kernel_tolerance_is_1e_9_against_the_operator_norm(
+        lapack_svd_calls):
+    # T1 = [I, 0] on H^4 with 6 vectors; T2 adds eps at (0, 4), in ker(T1),
+    # so r = eps, ||T2|| is about 1 and ||T2||_F about 2 = sqrt(k) with
+    # k = min(4, 6): the verdict follows eps / ||T2|| against 1e-9, and T2
+    # is factored only where eps / 2 lies in the band (1e-9 / 2, 1e-9]
+    t1 = np.zeros((4, 6, 4))
+    t1[range(4), range(4), 0] = 1.0
+    for eps, escapes, svds in ((2.5e-10, False, 1), (9e-10, False, 1),
+                               (1.6e-9, True, 2), (4e-9, True, 1)):
+        t2 = t1.copy()
+        t2[0, 4, 0] = eps
+        lapack_svd_calls.clear()
+        result = intertwiner(Frame.from_synthesis(QMatrix(t1)),
+                             Frame.from_synthesis(QMatrix(t2)))
+        assert (result.witness is not None) == escapes, eps
+        assert len(lapack_svd_calls) == svds, eps
 
 
 def test_intertwiner_residual_is_the_two_call_form():

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qframes.frame_ops import are_equivalent
-from qframes.frames import FRAME_RTOL, Frame, PythagorasCheck
+from qframes.frames import (
+    FRAME_RTOL,
+    Frame,
+    PythagorasCheck,
+    _dual_residuals,
+    _spread,
+)
 from qframes.qlinalg import (
     QMatrix,
     QVector,
@@ -531,6 +537,9 @@ def test_pythagoras_check_where_the_squares_overflow(k):
     assert np.all(np.isinf(chk.lhs)) and np.all(np.isinf(chk.rhs))
     one = fr.pythagoras_check(U.column(0), offered.column(0))
     assert one.residual <= 1e-10 and one.lhs == math.inf
+    # the canonical coefficients themselves: c - offered is 0, and the
+    # norms are scaled by the largest
+    assert np.all(fr.pythagoras_check(U, fr.coefficients(U)).residual == 0)
 
 
 def test_pythagoras_residual_keeps_its_bits_at_desk_scale():
@@ -549,6 +558,14 @@ def test_pythagoras_residual_keeps_its_bits_at_desk_scale():
         assert np.array_equal(chk.lhs, lhs) and np.array_equal(chk.rhs, rhs)
         assert np.array_equal(chk.residual,
                               np.abs(lhs - rhs) / np.maximum(lhs, rhs))
+
+
+def test_representation_tolerance_is_1e_8():
+    fr = random_frame(3, 7, np.random.default_rng(38))
+    u = random_vector(3, np.random.default_rng(39))
+    fr.pythagoras_check(u, fr.coefficients(u * (1 + 2.5e-9)))
+    with pytest.raises(ValueError, match="do not represent"):
+        fr.pythagoras_check(u, fr.coefficients(u * (1 + 4e-8)))
 
 
 def test_pythagoras_rejects_wrong_length():
@@ -727,6 +744,35 @@ def test_factors_read_off_the_spectrum_match_a_direct_svd(n, m,
     assert lapack_svd_calls == ["thin"]
 
 
+def test_frame_tolerance_is_1e_10():
+    # lambda_min / lambda_max against dim * 1e-10 = 3e-10
+    rng = np.random.default_rng(7)
+    for ratio, is_frame in ((6e-10, True), (1.5e-10, False)):
+        T = random_with_spectrum(3, 8, np.sqrt([1.0, 1.0, ratio]), rng)
+        assert Frame.from_synthesis(T).is_frame == is_frame
+
+
+def test_spread_is_relative_to_the_smallest_reading():
+    assert _spread({"a": 2.0, "b": 3.0, "c": 2.5}) == 0.5
+    assert math.isnan(_spread({"a": 2.0, "b": math.nan}))
+
+
+def test_dual_residuals_take_the_largest_gap():
+    # columns of unequal length, so the largest and the smallest differ
+    rng = np.random.default_rng(8)
+    T = random_frame(3, 8, rng).synthesis @ QMatrix.diag(
+        np.geomspace(1.0, 100.0, 8))
+    fr = Frame.from_synthesis(T)
+    bounds, dual = fr.optimal_bounds(), fr.canonical_dual()
+    dbounds = dual.optimal_bounds()
+    gaps = [abs(dbounds.lower - 1.0 / bounds.upper) * bounds.upper,
+            abs(dbounds.upper - 1.0 / bounds.lower) * bounds.lower]
+    drift = (T - dual.canonical_dual().synthesis).column_norms()
+    assert _dual_residuals(fr) == {
+        "bound-reciprocity": max(gaps),
+        "dual-round-trip": drift.max() / T.column_norms().max()}
+
+
 def test_frame_operator_beyond_the_double_range():
     vectors = np.random.default_rng(64).standard_normal((3, 2, 4)) * 1e200
     fr = Frame(vectors, dim=2)
@@ -740,6 +786,19 @@ def test_frame_operator_beyond_the_double_range():
     S = Frame([[[x, 0.0, 0.0, 0.0]]], dim=1).frame_operator
     assert S.components.tolist() == [[[x * x, 0.0, 0.0, 0.0]]]
     assert x * x == pytest.approx(1.2e308, rel=1e-15)
+
+
+def test_frame_operator_names_a_non_finite_entry():
+    # a NaN or an inf in T is named as such, not read as an overflow of S
+    vectors = np.random.default_rng(64).standard_normal((5, 3, 4))
+    for value, kind in ((np.nan, "a NaN"), (np.inf, "an infinite"),
+                        (-np.inf, "an infinite")):
+        bad = vectors.copy()
+        bad[2, 1, 3] = value
+        bad[4, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^vector 2, entry 1 has {kind} "
+                                             f"component$"):
+            Frame(bad).frame_operator
 
 
 def test_frame_operator_below_the_double_range():

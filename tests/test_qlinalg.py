@@ -19,11 +19,18 @@ from qframes.qlinalg import (
     QVector,
     _embedded_svd,
     _fold,
+    _group_basis,
     _hermitian_outer,
     _over,
+    _partner,
     _polar,
+    _ratio,
+    _require_columns_within,
+    _require_orthonormal,
+    _sketch,
     _split_matmul_adjoint,
     _validate_pairing,
+    adjoint,
     complex_adjoint,
     embed_vector,
     herm_eig,
@@ -79,16 +86,20 @@ def test_norms_of_entries_beyond_the_square_root_of_the_largest_double():
 
 
 def test_norms_of_ordinary_entries_are_the_plain_sum():
-    # no rescaling when the sum of squares is finite: the same bits as ever
+    # no rescaling when the sum of squares is finite: the same bits as ever;
+    # at the larger sizes the rescaled sum differs in the last bit for some
+    # draws
     rng = np.random.default_rng(62)
-    v, M = random_vector(5, rng), random_matrix(3, 4, rng)
-    for x, norm in ((v, v.norm()), (M, M.frobenius_norm())):
-        a, b = x.split
-        assert norm == float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
-    a, b = M.split
-    plain = np.sqrt((a.conj() * a).real.sum(axis=0)
-                    + (b.conj() * b).real.sum(axis=0))
-    assert np.array_equal(M.column_norms(), plain)
+    for n, shape in [(5, (3, 4))] + [(64, (16, 16))] * 8:
+        v, M = random_vector(n, rng), random_matrix(*shape, rng)
+        for x, norm in ((v, v.norm()), (M, M.frobenius_norm())):
+            a, b = x.split
+            assert norm == float(np.sqrt(np.vdot(a, a).real
+                                         + np.vdot(b, b).real))
+        a, b = M.split
+        plain = np.sqrt((a.conj() * a).real.sum(axis=0)
+                        + (b.conj() * b).real.sum(axis=0))
+        assert np.array_equal(M.column_norms(), plain)
 
 
 def test_inner_right_linearity_on_basis():
@@ -194,6 +205,7 @@ def test_shape_mismatch_messages():
 def test_adjoint_on_diagonal():
     M = QMatrix.diag([I])
     assert M.H[0, 0] == -I
+    assert adjoint(M)[0, 0] == -I
 
 
 def test_adjoint_fixes_real_symmetric():
@@ -261,6 +273,8 @@ def test_embed_round_trip_and_isometry():
     u = random_vector(5, rng)
     z = embed_vector(u)
     assert np.allclose(unembed_vector(z).components, u.components, atol=0)
+    assert np.array_equal(unembed_vector(list(z)).components,
+                          unembed_vector(z).components)
     assert abs(np.linalg.norm(z) - u.norm()) <= 1e-13 * u.norm()
 
 
@@ -435,6 +449,12 @@ def test_pairing_of_opposite_values_near_the_largest_double():
         # beside them a subnormal pair is still summed before it is halved
         pairs = np.array([1.7e308, 1.7e308, 1e-323, 5e-324])
         assert _validate_pairing(pairs, "eigen").tolist() == [1.7e308, 1e-323]
+        # from 2^1023 up the terms are halved first, so 2^1023 pairs too,
+        # and the pairing width there is relative as anywhere else
+        top = 2.0 ** 1023
+        assert _validate_pairing(np.array([top, top]), "eigen").tolist() == [top]
+        near = np.array([1.5 * top, 1.5 * top * (1 + 1e-12)])
+        assert _validate_pairing(near, "eigen") == pytest.approx([1.5 * top])
 
 
 def test_pairing_width_is_relative_to_the_spectrum():
@@ -671,8 +691,9 @@ def test_sqrt_psd_identity():
 
 def test_sqrt_psd_squares_back():
     rng = np.random.default_rng(61)
-    for _ in range(20):
-        X = random_matrix(4, 4, rng)
+    for k in [4] * 20 + [2] * 5:
+        # at rank 2 the zero eigenvalues read a little below 0
+        X = random_matrix(4, k, rng)
         M = X @ X.H
         root = sqrt_psd(M)
         assert frob(root @ root - M) <= 1e-10 * frob(M)
@@ -1048,6 +1069,7 @@ def test_coinciding_values_reach_the_sketch_and_stay_orthonormal(
             drift = (U.H @ U - QMatrix.identity(n)).entry_moduli()
             assert drift.max() <= 1e-13
     assert sketched == {2, 4, 6, 8, 10}
+    assert not _sketch(3).flags.writeable
 
 
 def test_a_sketch_below_the_floor_is_used_only_when_needed(polar_calls,
@@ -1152,6 +1174,93 @@ def test_orthogonal_projector_rejects_a_nan_column():
 
 
 # ---------------------------------------------------------------------------
+# the documented tolerances, each read at its value: a case a quarter or a
+# half of the way to the edge passes, and one two to four times past fails
+
+
+def test_pairing_width_is_1e_8():
+    # |even - odd| is compared with PAIR_TOL (scale + |mean|), about 2e-8
+    assert _validate_pairing(np.array([1.0, 1.0 + 1e-8]), "eigen").size == 1
+    with pytest.raises(np.linalg.LinAlgError, match="failed to pair"):
+        _validate_pairing(np.array([1.0, 1.0 + 4e-8]), "eigen")
+
+
+def test_hermitian_tolerance_is_1e_10():
+    for drift, hermitian in ((2.5e-11, True), (4e-10, False)):
+        M = QMatrix.from_real([[1.0, 0.5], [0.5 + drift, 1.0]])
+        if hermitian:
+            assert herm_eig(M).eigenvalues.size == 2
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                herm_eig(M)
+
+
+def test_orthonormal_tolerance_is_1e_10():
+    # the Gram entry of the column (1 + h) e_0 is off by about 2h
+    orthogonal_projector(QMatrix.from_real([[1.0 + 1e-11], [0.0]]))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        orthogonal_projector(QMatrix.from_real([[1.0 + 2e-10], [0.0]]))
+
+
+def test_rank_cut_is_1e_12():
+    # the cut of a 2 x 2 matrix with sigma_max 1 is 2e-12
+    assert matrix_rank(QMatrix.from_real(np.diag([1.0, 4e-12]))) == 2
+    assert matrix_rank(QMatrix.from_real(np.diag([1.0, 1e-12]))) == 1
+
+
+def test_range_tolerance_is_1e_8():
+    M = QMatrix.from_real(np.diag([1.0, 0.0]))
+    solve_min_norm(M, QVector([1.0, 2.5e-9]))
+    with pytest.raises(ValueError, match="not in the range"):
+        solve_min_norm(M, QVector([1.0, 4e-8]))
+
+
+def test_polish_reaches_1e_14():
+    # LAPACK's vectors at n = 64 start off by 1e-14 to 1e-13; one step of
+    # the polish takes them below 1e-14
+    U = herm_eig(random_hermitian(64, np.random.default_rng(0))).eigenvectors
+    assert (U.H @ U - QMatrix.identity(64)).entry_moduli().max() <= 1e-14
+
+
+def test_sketch_floor_is_1e_4(polar_calls):
+    # C spans two quaternionic vectors, and its first column of each pair,
+    # Y, has [Y, partner(Y)] with sigma_min / sigma_max = phi / 2: at 2e-4
+    # the span is taken from Y, at 5e-5 from the sketch
+    z1, z2 = (embed_vector(e(2, t)) for t in (0, 1))
+    p1, p2 = _partner(z1), _partner(z2)
+    for phi, calls in ((4e-4, 1), (1e-4, 2)):
+        c, s = np.cos(phi), np.sin(phi)
+        C = np.column_stack([z1, -s * p1 + c * z2, c * p1 + s * z2, p2])
+        polar_calls.clear()
+        Z = _group_basis(C)
+        assert len(polar_calls) == calls
+        both = np.hstack([Z, _partner(Z)])
+        assert np.abs(both.conj().T @ both - np.eye(4)).max() <= 1e-12
+        assert np.abs(both @ (both.conj().T @ C) - C).max() <= 1e-12
+
+
+def test_a_residual_equal_to_its_tolerance_is_within_it(monkeypatch):
+    _require_columns_within(np.array([0.5, 0.25]), 1.0, 0.5, "column {}")
+    with pytest.raises(ValueError, match="column 1: relative residual"):
+        _require_columns_within(np.array([0.5, 0.75]), 1.0, 0.5, "column {}")
+    # the Gram entry of (1 + 2^-20) e_0 is off by 2^-19 + 2^-40, exactly
+    B = QMatrix.from_real([[1.0 + 2.0 ** -20]])
+    monkeypatch.setattr(qframes.qlinalg, "ORTHONORMAL_TOL",
+                        2.0 ** -19 + 2.0 ** -40)
+    _require_orthonormal(B, "skewed")
+    monkeypatch.setattr(qframes.qlinalg, "ORTHONORMAL_TOL", 2.0 ** -19)
+    with pytest.raises(ValueError, match="skewed"):
+        _require_orthonormal(B, "skewed")
+    # a mirror off by HERMITIAN_TOL times the largest modulus, 1, is within
+    # it, and so is an eigenvalue of -HERMITIAN_TOL times the largest one
+    monkeypatch.setattr(qframes.qlinalg, "HERMITIAN_TOL", 2.0 ** -20)
+    herm_eig(QMatrix.from_real([[1.0, 0.5], [0.5 + 2.0 ** -20, 1.0]]))
+    sqrt_psd(QMatrix.from_real(np.diag([1.0, -2.0 ** -20])))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        sqrt_psd(QMatrix.from_real(np.diag([1.0, -2.0 ** -19])))
+
+
+# ---------------------------------------------------------------------------
 # container mechanics
 
 
@@ -1189,11 +1298,14 @@ def test_results_own_their_halves():
     A, B = random_matrix(2, 3, rng), random_matrix(3, 2, rng)
     u = random_vector(3, rng)
     q = Quaternion(*rng.standard_normal(4))
-    for M in (A + A, A - A, -A, A * 2.0, A @ B, A.H, kernel_basis(A)):
+    for M in (A + A, A - A, -A, A * 2.0, A @ B, A.H, kernel_basis(A),
+              QMatrix(A.components), QMatrix(A.tolist()),
+              QMatrix.diag(u.components)):
         for half in M.split:
             assert half.dtype == complex and not half.flags.writeable
             assert half.flags.c_contiguous
-    for w in (u + u, u - u, -u, u * 2.0, u * Fraction(1, 2), u * q, A @ u):
+    for w in (u + u, u - u, -u, u * 2.0, u * Fraction(1, 2), u * q, A @ u,
+              QVector(u.components), QVector(u.tolist())):
         for half in w.split:
             assert half.dtype == complex and not half.flags.writeable
     assert np.array_equal((A @ u).split[0], (A @ QMatrix.from_columns([u])).split[0][:, 0])
@@ -1215,7 +1327,7 @@ def test_scalar_actions_of_vectors_and_matrices():
     assert np.array_equal((u / 2).components, (u * 0.5).components)
     assert (u * q)[0].components == pytest.approx((u[0] * q).components,
                                                   rel=1e-14)
-    for bad in (lambda: A * q, lambda: A / 2, lambda: u / q):
+    for bad in (lambda: A * q, lambda: A / 2, lambda: u / q, lambda: A @ 3):
         with pytest.raises(TypeError):
             bad()
 
@@ -1390,6 +1502,23 @@ def test_malformed_input_names_its_fault(build, message):
 def test_an_empty_matrix_has_rank_zero():
     assert matrix_rank(QMatrix.zeros(0, 3)) == 0
     assert matrix_rank(QMatrix.zeros(3, 0)) == 0
+    assert QMatrix.from_columns([], dim=3).shape == (3, 0)
+
+
+def test_reprs_give_the_shape():
+    assert repr(QVector.zeros(3)) == "QVector(n=3)"
+    assert repr(QMatrix.zeros(2, 3)) == "QMatrix(shape=(2, 3))"
+
+
+@pytest.mark.parametrize("gap, size, ratio", [
+    (3.0, 2.0, 1.5), (0.0, 0.0, 0.0), (0.0, math.inf, 0.0),
+    (1.0, 0.0, math.inf), (math.nan, 0.0, math.nan), (0.0, math.nan, math.nan),
+    (math.nan, 1.0, math.nan), (1.0, math.nan, math.nan)])
+def test_ratio_of_numbers_and_of_arrays_agree(gap, size, ratio):
+    # 0 where the gap is 0, inf where only the size is, NaN where either is
+    np.testing.assert_array_equal(_ratio(gap, size), ratio)
+    np.testing.assert_array_equal(_ratio(np.array([gap]), size), [ratio])
+    np.testing.assert_array_equal(_ratio(gap, np.array([size])), [ratio])
 
 
 def test_matrix_tolist_round_trip():
