@@ -201,11 +201,7 @@ def cmd_gen(args) -> int:
     if args.kind == "with-operator":
         if not args.operator:
             raise ValueError("gen --kind with-operator needs --operator FILE")
-        L = load_operator(args.operator)
-        if L.shape[0] != L.shape[1]:
-            raise ValueError(f"prescribed operator must be square, "
-                             f"got {L.shape}")
-        frame = frame_with_frame_operator(L)
+        frame = frame_with_frame_operator(load_operator(args.operator))
         if args.dim is not None and args.dim != frame.dim:
             raise ValueError(f"--dim {args.dim} contradicts the operator size "
                              f"{frame.dim}")
@@ -224,11 +220,11 @@ def cmd_gen(args) -> int:
         frame = random_frame(args.dim, args.count, rng)
         if args.kind == "parseval":
             frame = frame.parseval_normalize()
-    report = frame.report()
+    report = frame.report().to_dict()
     payload: dict = {"dim": frame.dim, "count": frame.count,
-                     "kind": args.kind, **report.to_dict()}
+                     "kind": args.kind, **report}
     lines = [f"generated {args.kind} frame: dim={frame.dim} count={frame.count}"]
-    lines += _bounds_lines(report.to_dict())
+    lines += _bounds_lines(report)
     _emit(args, payload, lines, frame=frame.to_dict())
     return 0
 
@@ -311,13 +307,14 @@ def cmd_map(args) -> int:
     frame = load_frame(args.frame)
     L = load_operator(args.operator)
     image, report = map_frame(L, frame)
+    report = report.to_dict()
     payload: dict = {"dim": image.dim, "count": image.count,
-                     "is_frame": image.is_frame, **report.to_dict()}
+                     "is_frame": image.is_frame, **report}
     lines = [f"mapped frame: dim={image.dim} count={image.count}"]
     if not image.is_frame:
-        lines.append("not a frame: the operator image fails to span")
         payload["note"] = "not a frame: the operator image fails to span"
-    lines += _bounds_lines(report.to_dict())
+        lines.append(payload["note"])
+    lines += _bounds_lines(report)
     _emit(args, payload, lines, frame=image.to_dict())
     return 0
 
@@ -357,7 +354,6 @@ def cmd_check(args) -> int:
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
     sizes = []
     for token in text.split(","):
-        token = token.strip()
         parts = token.split("x")
         if len(parts) != 2:
             raise ValueError(f"bad size {token!r}: expected NxM like 3x8")
@@ -365,8 +361,6 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
             n, m = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad size {token!r}: expected NxM like 3x8")
-        if n < 1 or m < 1:
-            raise ValueError(f"bad size {token!r}: dimensions must be positive")
         sizes.append((n, m))
     return sizes
 

@@ -58,8 +58,6 @@ class Quaternion:
     @classmethod
     def from_complex_pair(cls, z1: complex, z2: complex) -> "Quaternion":
         """Rebuild q from the split q = z1 + z2*j (Cayley-Dickson order)."""
-        z1 = complex(z1)
-        z2 = complex(z2)
         return cls(z1.real, z1.imag, z2.real, z2.imag)
 
     def to_complex_pair(self) -> tuple[complex, complex]:
@@ -144,8 +142,6 @@ class Quaternion:
         """q^-1 = conj(q) / |q|^2.  Raises ZeroDivisionError for zero input
         and ValueError where a component of the inverse is not finite."""
         mod = self.modulus()
-        if mod == 0:
-            raise ZeroDivisionError("quaternion has no inverse: modulus is zero")
         # divide twice: mod*mod can underflow even when the inverse is finite
         inv = self.conjugate() / mod / mod
         if not all(map(math.isfinite, inv.components)):
@@ -168,9 +164,8 @@ class Quaternion:
 
 
 def _coerce(value) -> "Quaternion":
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
+    """A real scalar (numbers.Real, as __truediv__ takes) as a Quaternion."""
+    if isinstance(value, Real):
         return Quaternion(float(value))
     return NotImplemented
 

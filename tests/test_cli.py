@@ -94,6 +94,33 @@ def test_gen_rejects_bad_seed(tmp_path):
     assert res.returncode == 2
 
 
+def test_seed_is_an_unsigned_64_bit_integer(tmp_path):
+    res = run_cli(["gen", "-n", "1", "-m", "1", "--seed", str(2 ** 64 - 1)],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    # numpy would take 2**64 as a seed; the command line refuses it
+    res = run_cli(["gen", "-n", "1", "-m", "1", "--seed", str(2 ** 64)],
+                  tmp_path)
+    assert res.returncode == 2
+    assert "seed must fit in an unsigned 64-bit integer" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["-n", "3"], ["-m", "3"], []],
+                         ids=["no-count", "no-dim", "neither"])
+def test_gen_needs_dim_and_count(capsys, args):
+    assert main(["gen", *args]) == 2
+    assert capsys.readouterr().err == "error: gen needs --dim and --count\n"
+
+
+def test_gen_makes_a_basis_when_dim_equals_count(tmp_path):
+    res = run_cli(["gen", "-n", "3", "-m", "3", "--seed", "2", "--json"],
+                  tmp_path)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert (payload["dim"], payload["count"]) == (3, 3)
+    assert payload["status"] == "frame"
+
+
 def test_gen_with_prescribed_operator(tmp_path):
     write_json(tmp_path / "op.json", diag_operator([4.0, 1.0]))
     res = run_cli(["gen", "--kind", "with-operator", "--operator", "op.json",
@@ -109,6 +136,34 @@ def test_gen_with_operator_needs_operator_file(tmp_path):
     res = run_cli(["gen", "--kind", "with-operator"], tmp_path)
     assert res.returncode == 2
     assert "needs --operator" in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--dim", "2", "--count", "2"], None),
+    (["--dim", "3"], "--dim 3 contradicts the operator size 2"),
+    (["--count", "5"], "--count 5 contradicts the operator size 2"),
+], ids=["agree", "dim", "count"])
+def test_gen_with_operator_checks_dim_and_count(tmp_path, capsys, args,
+                                                message):
+    write_json(tmp_path / "op.json", diag_operator([4.0, 1.0]))
+    code = main(["gen", "--kind", "with-operator", "--operator",
+                 str(tmp_path / "op.json"), *args, "--json"])
+    out, err = capsys.readouterr()
+    if message is None:
+        assert code == 0 and err == ""
+        assert json.loads(out)["bounds"] == {"lower": pytest.approx(1.0),
+                                             "upper": pytest.approx(4.0)}
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_gen_with_a_non_square_operator_exits_2(tmp_path, capsys):
+    write_json(tmp_path / "op.json", {"rows": 2, "cols": 3, "entries": [
+        [[1.0, 0.0, 0.0, 0.0]] * 3] * 2})
+    assert main(["gen", "--kind", "with-operator", "--operator",
+                 str(tmp_path / "op.json")]) == 2
+    assert capsys.readouterr().err == ("error: expected a square matrix, "
+                                       "got (2, 3)\n")
 
 
 @pytest.mark.parametrize("kind", ["generic", "parseval"])
@@ -379,6 +434,38 @@ def test_map_rank_deficient_operator_warns(tmp_path):
     assert "not a frame" in table.stdout
 
 
+def _report_text(report):
+    """The table lines that stand for a frame report's JSON."""
+    b = report["bounds"]
+    return [f"status: {report['status']}",
+            f"bounds: lower={b['lower']:.12g} upper={b['upper']:.12g}",
+            "spectrum: " + " ".join(f"{x:.12g}" for x in report["spectrum"]),
+            *(f"residual {key}: {value:.3e}"
+              for key, value in report["residuals"].items())]
+
+
+@pytest.mark.parametrize("values", [[2.0, 0.5], [1.0, 0.0]],
+                         ids=["frame", "not-a-frame"])
+def test_gen_and_map_tables_show_the_json_report(tmp_path, values):
+    gen = ["gen", "-n", "2", "-m", "3", "--seed", "4"]
+    report = json.loads(run_cli([*gen, "--json"], tmp_path).stdout)
+    res = run_cli([*gen, "--out", "f.json"], tmp_path)
+    assert res.stdout.splitlines() == [
+        "generated generic frame: dim=2 count=3", *_report_text(report),
+        "written: f.json"]
+
+    write_json(tmp_path / "op.json", diag_operator(values))
+    report = json.loads(run_cli(["map", "f.json", "op.json", "--json"],
+                                tmp_path).stdout)
+    note = [report["note"]] if "note" in report else []
+    assert note == ([] if report["is_frame"] else
+                    ["not a frame: the operator image fails to span"])
+    res = run_cli(["map", "f.json", "op.json", "--out", "m.json"], tmp_path)
+    assert res.stdout.splitlines() == [
+        "mapped frame: dim=2 count=3", *note, *_report_text(report),
+        "written: m.json"]
+
+
 def test_equiv_same_frame(tmp_path):
     run_cli(["gen", "-n", "2", "-m", "5", "--seed", "23", "--out", "f.json"],
             tmp_path)
@@ -527,6 +614,23 @@ def test_check_rejects_an_empty_size_list(capsys):
     assert err == "error: bad size '': expected NxM like 3x8\n"
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("3x8x9", "bad size '3x8x9': expected NxM like 3x8"),
+    ("ax8", "bad size 'ax8': expected NxM like 3x8"),
+    ("3x", "bad size '3x': expected NxM like 3x8"),
+    ("2x6,0x3", "sizes need positive dimensions, got (0, 3)"),
+    ("2x6,3x-8", "sizes need positive dimensions, got (3, -8)"),
+])
+def test_check_names_the_bad_size(capsys, sizes, message):
+    assert main(["check", "--sizes", sizes]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_check_sizes_may_carry_spaces(capsys):
+    assert main(["check", "--sizes", " 1x1 , 2x3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == [[1, 1], [2, 3]]
+
+
 def _raises(rng, sizes):
     raise ZeroDivisionError("float division by zero")
 
@@ -592,6 +696,61 @@ def test_malformed_operator_payload_exits_2(tmp_path):
     write_json(tmp_path / "op.json", {"rows": 2, "cols": 2, "entries": [[1]]})
     res = run_cli(["map", "f.json", "op.json"], tmp_path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("operator", "rows"), ("operator", "cols"), ("operator", "entries"),
+    ("vector", "entries")])
+def test_a_missing_key_names_the_file_and_the_key(tmp_path, capsys, kind,
+                                                  key):
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    data = (diag_operator([1.0, 2.0]) if kind == "operator" else
+            {"entries": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]})
+    del data[key]
+    path = tmp_path / "x.json"
+    write_json(path, data)
+    command = "map" if kind == "operator" else "coeffs"
+    assert main([command, str(tmp_path / "f.json"), str(path)]) == 2
+    assert capsys.readouterr().err == (f'error: {path}: {kind} data must '
+                                       f'carry "{key}"\n')
+
+
+@pytest.mark.parametrize("op, shape", [
+    ({"rows": 2, "cols": 2, "entries": [[[1.0, 0.0, 0.0, 0.0]] * 3] * 2},
+     "(2, 3, 4), expected (2, 2, 4)"),
+    ({"rows": 2, "cols": 2, "entries": [[[1.0, 0.0, 0.0]] * 2] * 2},
+     "(2, 2, 3), expected (2, 2, 4)"),
+], ids=["cols", "components"])
+def test_operator_entries_must_match_rows_and_cols(tmp_path, capsys, op,
+                                                   shape):
+    write_json(tmp_path / "f.json", basis_frame(2, [0, 1]))
+    write_json(tmp_path / "op.json", op)
+    assert main(["map", str(tmp_path / "f.json"),
+                 str(tmp_path / "op.json")]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'op.json'}: "
+                                       f"entries have shape {shape}\n")
+
+
+@pytest.mark.parametrize("entries, shape", [
+    ([1.0, 0.0, 0.0, 0.0], "(4,)"),
+    ([[1.0, 0.0, 0.0]], "(1, 3)"),
+    ([[[1.0, 0.0, 0.0, 0.0]]], "(1, 1, 4)"),
+    ([], "(0,)"),
+], ids=["flat", "components", "nested", "empty"])
+def test_vector_entries_must_be_n_by_4(tmp_path, capsys, entries, shape):
+    write_json(tmp_path / "f.json", basis_frame(1, [0]))
+    write_json(tmp_path / "u.json", {"entries": entries})
+    assert main(["coeffs", str(tmp_path / "f.json"),
+                 str(tmp_path / "u.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'u.json'}: entries have shape {shape}, "
+        f"expected (n, 4) with n >= 1\n")
+    # one entry is a vector in H^1
+    write_json(tmp_path / "u.json", {"entries": [[2.0, 0.0, 0.0, 0.0]]})
+    assert main(["coeffs", str(tmp_path / "f.json"), str(tmp_path / "u.json"),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coefficients"] == {
+        "entries": [[2.0, 0.0, 0.0, 0.0]]}
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -860,6 +1019,30 @@ def trees_with_non_finite(draw):
 def test_dumps_rejects_non_finite_values(tree):
     with pytest.raises(ValueError, match="JSON compliant"):
         _dumps(tree)
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "-n", "3", "-m", "5", "--seed", "1", "--json"],
+    ["dual", "f.json", "--json"],
+    ["dual", "f.json", "--out", "d.json"],
+], ids=["gen-inline", "dual-inline", "dual-out"])
+def test_float_blocks_are_written_without_json_dumps(tmp_path, monkeypatch,
+                                                     args):
+    # the vectors and the spectrum are written by _write_block and the
+    # objects around them by _encode; json.dumps gets only scalars
+    run_cli(["gen", "-n", "3", "-m", "5", "--seed", "1", "--out", "f.json"],
+            tmp_path)
+    dumps, handed = json.dumps, []
+
+    def recording(obj, **kwargs):
+        handed.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(qframes.cli.json, "dumps", recording)
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert handed and not [obj for obj in handed
+                           if isinstance(obj, (list, dict))]
 
 
 # ---------------------------------------------------------------------------

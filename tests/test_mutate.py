@@ -1,7 +1,6 @@
 """The mutant generator of tools/mutate.py, in process: every mutant is a
-program, changes its module at one site, and stays inside the numerical
-core. The sweep itself runs pytest once per mutant and is never part of
-this suite."""
+program, changes its module at one site, and stays inside the library. The
+sweep itself runs pytest once per mutant and is never part of this suite."""
 
 import ast
 import importlib.util
@@ -15,10 +14,13 @@ mutate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutate)
 
 
-def test_the_scope_is_the_three_core_modules():
+def test_the_scope_is_six_library_modules():
     assert set(mutate.MODULES) == {"src/qframes/qlinalg.py",
                                    "src/qframes/frames.py",
-                                   "src/qframes/frame_ops.py"}
+                                   "src/qframes/frame_ops.py",
+                                   "src/qframes/quaternion.py",
+                                   "src/qframes/cli.py",
+                                   "src/qframes/checks.py"}
     for path, tests in mutate.MODULES.items():
         assert not path.startswith(("tests/", "perfbench/"))
         assert (ROOT / path).is_file() and (ROOT / tests).is_file()

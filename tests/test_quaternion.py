@@ -3,6 +3,7 @@
 import copy
 import pickle
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,37 @@ def test_real_scalar_arithmetic():
     assert q / 2 == Quaternion(0.5, 1, 1.5, 2)
     assert q + 1 == Quaternion(2, 2, 3, 4)
     assert 1 - q == Quaternion(0, -2, -3, -4)
+    # every operation takes the same reals, as division always did
+    for half in (Fraction(1, 2), np.float32(0.5), 0.5):
+        assert q + half == half + q == Quaternion(1.5, 2, 3, 4)
+        assert q - half == Quaternion(0.5, 2, 3, 4)
+        assert half - q == Quaternion(-0.5, -2, -3, -4)
+        assert q * half == half * q == q / 2
+    assert q + np.int64(1) == np.int64(1) + q == q + 1
+
+
+@pytest.mark.parametrize("operation", [
+    lambda q, x: q + x, lambda q, x: x + q, lambda q, x: q - x,
+    lambda q, x: x - q, lambda q, x: q * x, lambda q, x: x * q,
+    lambda q, x: q / x,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv"])
+@pytest.mark.parametrize("other", [None, 1j], ids=["none", "complex"])
+def test_an_operand_that_is_not_real_raises_type_error(operation, other):
+    # a complex scalar does not say which imaginary unit it means
+    with pytest.raises(TypeError):
+        operation(Quaternion(1, 2, 3, 4), other)
+
+
+def test_division_by_a_quaternion_raises_type_error():
+    # q * p^-1 and p^-1 * q differ, so neither is q / p
+    with pytest.raises(TypeError):
+        ONE / I
+
+
+def test_is_close_includes_its_tolerance():
+    p, q = Quaternion(1, 2, 3, 4), Quaternion(1, 2, 3, 4.5)
+    assert p.is_close(q, tol=0.5)
+    assert not p.is_close(q, tol=0.25)
 
 
 def test_value_semantics():

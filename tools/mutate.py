@@ -1,11 +1,13 @@
-"""Mutation sweep of the numerical core.
+"""Mutation sweep of the library.
 
     python tools/mutate.py
 
-Each mutant changes one site of qlinalg.py, frames.py or frame_ops.py: a
-comparison flipped (< and <=, > and >=), + and - swapped, a literal 0.5 made
-1.0, a `not` dropped, a module tolerance times 10 or times 0.1, max and min
-swapped, or a statement replaced by `pass`. A mutant runs in a scratch copy
+Each mutant changes one site of one of six library modules, each of which
+has a test file of its own: qlinalg.py, frames.py, frame_ops.py,
+quaternion.py, cli.py and checks.py (sampling.py has none, and stays out).
+A mutation is a comparison flipped (< and <=, > and >=), + and - swapped, a
+literal 0.5 made 1.0, a `not` dropped, a module tolerance times 10 or times
+0.1, max and min swapped, or a statement replaced by `pass`. A mutant runs in a scratch copy
 of the checkout, made in the system's temporary directory, first against its
 module's test file (pytest -x -q), then, if it survives that, against the
 whole Tier-1 suite. A run that fails kills the mutant; a run that takes 10
@@ -36,6 +38,9 @@ MODULES = {
     "src/qframes/qlinalg.py": "tests/test_qlinalg.py",
     "src/qframes/frames.py": "tests/test_frames.py",
     "src/qframes/frame_ops.py": "tests/test_frame_ops.py",
+    "src/qframes/quaternion.py": "tests/test_quaternion.py",
+    "src/qframes/cli.py": "tests/test_cli.py",
+    "src/qframes/checks.py": "tests/test_checks.py",
 }
 TIER1 = ["-m", "pytest", "-x", "-q", "--continue-on-collection-errors"]
 WORKERS = 2
